@@ -19,7 +19,7 @@ import numpy as np
 from .bags import (BagFormatError, generate_synthetic, read_bag, read_manifest,
                    split_bags, CALIBRATION_TARGETS, SynthConfig)
 from .gleason import (ConsensusLevel, WeightTriple, class_of, consensus_level)
-from .metrics import (balanced_accuracy, bootstrap_ci, compute_report, confusion,
+from .metrics import (balanced_accuracy, bootstrap_ci, confusion,
                       paired_permutation_test, per_class_accuracy, weighted_f1)
 from .models import HEAD_KINDS, ModelConfig, extract_attention, forward_bag
 from .reports import (RunReport, SeedResult, format_score, heatmap_grid,
@@ -193,15 +193,14 @@ def _train_one_seed(model_config, train_config, seed, samples):
 
 
 def _seed_mean_ci(y_true, preds_per_seed, metric_fn, n_resamples, seed):
-    records = list(zip(y_true, zip(*preds_per_seed)))
+    """Bootstrap CI of the seed-mean metric; a resampled slide keeps its
+    label and every seed's prediction for it."""
+    records = np.column_stack([y_true, *preds_per_seed]).astype(np.int64)
 
-    def metric(records_):
-        y = np.array([r[0] for r in records_], dtype=np.int64)
-        per_seed = []
-        for si in range(len(preds_per_seed)):
-            p = np.array([r[1][si] for r in records_], dtype=np.int64)
-            per_seed.append(metric_fn(confusion(y, p)))
-        return float(np.mean(per_seed))
+    def metric(sample):
+        y = sample[:, 0]
+        return float(np.mean([metric_fn(confusion(y, sample[:, si]))
+                              for si in range(1, sample.shape[1])]))
 
     return bootstrap_ci(records, metric, n_resamples=n_resamples, seed=seed)
 
@@ -346,23 +345,18 @@ def cmd_grid(args) -> int:
 # ---- eval -------------------------------------------------------------------------
 
 
-def _system_outcomes(target: Path, manifest_path: Path | None, split: str):
-    """Per-(slide, seed) predictions for a params archive or a run report.
+def _load_system(target: Path, manifest_path: Path | None):
+    """Per-seed (params, config) of a params archive or a run report.
 
-    Returns (manifest_path, slide_ids, y_true, preds_per_seed, stored_report).
+    Returns (manifest_path, models, stored_report).  A report is evaluated on
+    its recorded manifest unless one is given, whose fingerprint must match.
     """
     if target.suffix == ".npz":
-        params, mc = load_params(target)
+        models = [load_params(target)]
         if manifest_path is None:
             raise ValueError("--manifest (or --data) required when evaluating "
                              "a parameter archive")
-        entries = split_bags(read_manifest(manifest_path), split)
-        samples = samples_from_entries(entries)
-        if not samples:
-            raise ValueError(f"no {split} slides in {manifest_path}")
-        y_true = np.array([s.label for s in samples], dtype=np.int64)
-        preds = [predict_classes(params, mc, samples)]
-        return manifest_path, [s.bag.slide_id for s in samples], y_true, preds, None
+        return manifest_path, models, None
 
     report = read_report(target)
     if manifest_path is None:
@@ -371,16 +365,8 @@ def _system_outcomes(target: Path, manifest_path: Path | None, split: str):
     if fingerprint != report.fingerprint:
         raise ValueError(f"manifest {manifest_path} fingerprint {fingerprint[:12]} "
                          f"does not match report {report.fingerprint[:12]}")
-    entries = split_bags(read_manifest(manifest_path), split)
-    samples = samples_from_entries(entries)
-    if not samples:
-        raise ValueError(f"no {split} slides in {manifest_path}")
-    y_true = np.array([s.label for s in samples], dtype=np.int64)
-    preds = []
-    for seed_result in report.seeds:
-        params, mc = load_params(target.parent / seed_result.params_path)
-        preds.append(predict_classes(params, mc, samples))
-    return manifest_path, [s.bag.slide_id for s in samples], y_true, preds, report
+    models = [load_params(target.parent / s.params_path) for s in report.seeds]
+    return manifest_path, models, report
 
 
 def cmd_eval(args) -> int:
@@ -390,9 +376,13 @@ def cmd_eval(args) -> int:
     elif getattr(args, "data", None) or os.environ.get(DATA_ROOT_ENV):
         manifest_path = _data_root(args) / "manifest.tsv"
 
-    target = Path(args.target)
-    manifest_path, slide_ids, y_true, preds, stored = _system_outcomes(
-        target, manifest_path, args.split)
+    manifest_path, models, stored = _load_system(Path(args.target), manifest_path)
+    samples = samples_from_entries(split_bags(read_manifest(manifest_path),
+                                              args.split))
+    if not samples:
+        raise ValueError(f"no {args.split} slides in {manifest_path}")
+    y_true = np.array([s.label for s in samples], dtype=np.int64)
+    preds = [predict_classes(params, mc, samples) for params, mc in models]
 
     per_seed_ms = [confusion(y_true, p) for p in preds]
     mean_ba = float(np.mean([balanced_accuracy(m) for m in per_seed_ms]))
@@ -417,15 +407,15 @@ def cmd_eval(args) -> int:
 
     p_value = None
     if args.compare:
-        _, other_ids, other_true, other_preds, _ = _system_outcomes(
-            Path(args.compare), manifest_path, args.split)
-        if other_ids != slide_ids:
-            raise ValueError("compared runs cover different slide sets")
-        if len(other_preds) != len(preds):
+        # system B is predicted on A's samples, so both cover the same slides
+        _, other_models, _ = _load_system(Path(args.compare), manifest_path)
+        if len(other_models) != len(preds):
             raise ValueError(f"compared runs have different seed counts "
-                             f"({len(preds)} vs {len(other_preds)})")
+                             f"({len(preds)} vs {len(other_models)})")
+        other_preds = [predict_classes(params, mc, samples)
+                       for params, mc in other_models]
         correct_a = np.concatenate([(p == y_true).astype(float) for p in preds])
-        correct_b = np.concatenate([(p == other_true).astype(float)
+        correct_b = np.concatenate([(p == y_true).astype(float)
                                     for p in other_preds])
         tiled_true = np.concatenate([y_true] * len(preds))
         p_value = paired_permutation_test(correct_a, correct_b, tiled_true,
@@ -433,7 +423,7 @@ def cmd_eval(args) -> int:
                                           n_permutations=args.permutations,
                                           seed=args.stats_seed)
 
-    print(f"slides: {len(slide_ids)} ({args.split}); seeds: {len(preds)}")
+    print(f"slides: {len(samples)} ({args.split}); seeds: {len(preds)}")
     starred = p_value is not None and p_value < 0.05
     print(f"balanced accuracy: "
           f"{format_score(mean_ba, ci_ba.offsets(), starred)}")

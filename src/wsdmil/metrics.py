@@ -6,6 +6,17 @@ per-class accuracy is per-class recall.  Classes with zero support are left
 out of macro averages.  Significance between two systems comes from a paired
 sign-flip permutation test, and uncertainty from a percentile bootstrap over
 slides.
+
+The permutation test counts instead of building permuted outcome matrices.
+Outcomes are 0/1, so every per-class sum of correct slides is an integer,
+and float64 holds integers below 2**53 exactly whatever the order of
+summation, BLAS matmul included.  A permutation's count for A in class c is
+sum_c(a) + flips @ ((b - a) * 1[class c]), B's is sum_c(a + b) minus that,
+and count / k_c is the same float64 as the mean of the k_c permuted
+outcomes, so every statistic matches the per-slide definition bit for bit.
+The coin flips are drawn in chunks of rows to bound memory; PCG64 yields
+the same float64 stream however a draw of m * n values is split into rows,
+so the p-value does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -17,13 +28,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "MetricReport",
     "BootstrapResult",
     "confusion",
     "balanced_accuracy",
     "weighted_f1",
     "per_class_accuracy",
-    "compute_report",
     "paired_permutation_test",
     "bootstrap_ci",
 ]
@@ -31,6 +40,9 @@ __all__ = [
 N_CLASSES = 4
 
 PERMUTATION_STATISTICS = ("balanced_accuracy_diff", "accuracy_diff")
+
+# coin flips drawn per chunk of the permutation test (512 KB of float64)
+PERMUTATION_CHUNK = 1 << 16
 
 
 def confusion(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
@@ -42,9 +54,8 @@ def confusion(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
                          f"got {t.shape} and {p.shape}")
     if t.min() < 0 or t.max() >= n_classes or p.min() < 0 or p.max() >= n_classes:
         raise ValueError(f"labels outside 0..{n_classes - 1}")
-    m = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(m, (t, p), 1)
-    return m
+    cells = np.bincount(t * n_classes + p, minlength=n_classes * n_classes)
+    return cells.reshape(n_classes, n_classes)
 
 
 def balanced_accuracy(m: np.ndarray) -> float:
@@ -82,36 +93,21 @@ def per_class_accuracy(m: np.ndarray) -> list[float | None]:
             for i in range(m.shape[0])]
 
 
-@dataclass
-class MetricReport:
-    """Headline metrics for one evaluated slide set."""
+def _statistic(sum_a: np.ndarray, sum_ab: np.ndarray, sizes: np.ndarray,
+               balanced: bool) -> np.ndarray:
+    """Statistic per row from A's correct counts per slide group.
 
-    balanced_accuracy: float
-    weighted_f1: float
-    per_class_accuracy: list[float | None]
-    n: int
-    ci_balanced_accuracy: tuple[float, float] | None = None
-    ci_weighted_f1: tuple[float, float] | None = None
-    p_value: float | None = None
-
-
-def compute_report(y_true, y_pred) -> MetricReport:
-    m = confusion(y_true, y_pred)
-    return MetricReport(balanced_accuracy=balanced_accuracy(m),
-                        weighted_f1=weighted_f1(m),
-                        per_class_accuracy=per_class_accuracy(m),
-                        n=int(m.sum()))
-
-
-def _stat_rows(a: np.ndarray, b: np.ndarray, masks: list[np.ndarray] | None) -> np.ndarray:
-    """Statistic per row pair: plain accuracy diff, or macro recall diff
-    when per-class index masks are given."""
-    if masks is None:
-        return (a - b).mean(axis=1)
-    acc = np.zeros(a.shape[0])
-    for mask in masks:
-        acc += a[:, mask].mean(axis=1) - b[:, mask].mean(axis=1)
-    return acc / len(masks)
+    ``sum_a`` is (rows, groups); B's counts are ``sum_ab - sum_a``.  Balanced
+    groups are the classes present and give the macro recall difference;
+    otherwise one group holds every slide and gives the accuracy difference.
+    """
+    sum_b = sum_ab - sum_a
+    if not balanced:
+        return (sum_a[:, 0] - sum_b[:, 0]) / sizes[0]
+    acc = np.zeros(sum_a.shape[0])
+    for c, k in enumerate(sizes):
+        acc += sum_a[:, c] / k - sum_b[:, c] / k
+    return acc / len(sizes)
 
 
 def paired_permutation_test(correct_a, correct_b, y_true=None,
@@ -129,31 +125,39 @@ def paired_permutation_test(correct_a, correct_b, y_true=None,
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError(f"correctness vectors must be equal-length 1-D, "
                          f"got {a.shape} and {b.shape}")
+    if not (np.isin(a, (0.0, 1.0)).all() and np.isin(b, (0.0, 1.0)).all()):
+        raise ValueError("correctness vectors must hold only 0 and 1")
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
     if statistic not in PERMUTATION_STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}, "
                          f"expected one of {PERMUTATION_STATISTICS}")
-    masks = None
-    if statistic == "balanced_accuracy_diff":
+    balanced = statistic == "balanced_accuracy_diff"
+    if balanced:
         if y_true is None:
             raise ValueError("balanced_accuracy_diff needs y_true to group slides")
         t = np.asarray(y_true, dtype=np.int64)
         if t.shape != a.shape:
             raise ValueError(f"y_true shape {t.shape} does not match {a.shape}")
-        masks = [np.flatnonzero(t == c) for c in np.unique(t)]
+        groups = t[:, None] == np.unique(t)
+    else:
+        groups = np.ones((a.size, 1), dtype=bool)
+    sizes = groups.sum(axis=0)
+    sum_a = a @ groups
+    sum_ab = (a + b) @ groups
+    # flipping slide i moves b_i - a_i into A's count for the slide's group
+    swing = (b - a)[:, None] * groups
 
-    t_obs = abs(float(_stat_rows(a[None, :], b[None, :], masks)[0]))
+    t_obs = abs(float(_statistic(sum_a[None, :], sum_ab, sizes, balanced)[0]))
     rng = np.random.default_rng(seed)
     n = a.size
+    rows = max(1, PERMUTATION_CHUNK // n)
     exceed = 0
     done = 0
     while done < n_permutations:
-        m = min(20_000, n_permutations - done)
+        m = min(rows, n_permutations - done)
         flips = rng.random((m, n)) < 0.5
-        a_perm = np.where(flips, b, a)
-        b_perm = np.where(flips, a, b)
-        t_perm = _stat_rows(a_perm, b_perm, masks)
+        t_perm = _statistic(sum_a + flips @ swing, sum_ab, sizes, balanced)
         # tiny slack so ties of equal magnitude count despite rounding
         exceed += int((np.abs(t_perm) >= t_obs - 1e-12).sum())
         done += m
@@ -174,15 +178,20 @@ class BootstrapResult:
         return (self.low - self.point, self.high - self.point)
 
 
-def bootstrap_ci(records: Sequence, metric: Callable[[list], float],
+def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
                  n_resamples: int = 1000, level: float = 0.95,
                  seed: int = 0) -> BootstrapResult:
     """Resample slides with replacement and take percentile bounds of the
     metric.  Resamples where the metric is undefined (raises ValueError or
     ZeroDivisionError) are skipped and counted, with a warning past 1%.
+
+    A numpy array is resampled along its first axis and handed to the metric
+    as an array; any other sequence is handed over as a list of records.
     """
-    records = list(records)
-    if not records:
+    is_array = isinstance(records, np.ndarray)
+    if not is_array:
+        records = list(records)
+    if len(records) == 0:
         raise ValueError("bootstrap needs at least one record")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
@@ -195,7 +204,7 @@ def bootstrap_ci(records: Sequence, metric: Callable[[list], float],
     skipped = 0
     for _ in range(n_resamples):
         idx = rng.integers(0, n, size=n)
-        sample = [records[j] for j in idx]
+        sample = records[idx] if is_array else [records[j] for j in idx]
         try:
             stats.append(float(metric(sample)))
         except (ValueError, ZeroDivisionError):

@@ -225,6 +225,73 @@ def test_eval_detects_manifest_drift(baseline_run, dataset, tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
+# Statistics recorded before the permutation test and the bootstrap were
+# rewritten to count and to resample arrays; they must not move by one bit.
+GOLDEN_GEN = ["--splits", "24,8,48", "--dim", "8", "--size-factor", "0.02",
+              "--seed", "5"]
+GOLDEN_TRAIN = ["--hidden-dim", "8", "--attention-dim", "4", "--epochs", "3",
+                "--seeds", "1,2", "--bootstrap", "200"]
+GOLDEN_CI = {
+    "base": ((-0.08054933271385467, 0.05504278753045205),
+             (-0.051422275237567594, 0.05618962594635868)),
+    "wsd": ((-0.05027819300797243, 0.054353439911803914),
+            (-0.08284641143818211, 0.09233027043584707)),
+}
+# 9999 permutations make p = k / 10000, so four printed decimals are exact
+GOLDEN_P = {"balanced_accuracy_diff": "0.0079 *", "accuracy_diff": "0.0552"}
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    assert main(["gen-synthetic", "--out", str(root / "ds")] + GOLDEN_GEN) == 0
+    data = ["--data", str(root / "ds")]
+    assert main(["train", *data, "--model", "maxmil",
+                 "--out", str(root / "base.report")] + GOLDEN_TRAIN) == 0
+    assert main(["train", *data, "--model", "abmil", "--lr", "0.01",
+                 "--method", "weighted", "--weights", "4,3,1",
+                 "--out", str(root / "wsd.report")] + GOLDEN_TRAIN) == 0
+    return root
+
+
+def test_report_bootstrap_cis_match_golden_values(golden_runs):
+    for name, (ci_ba, ci_f1) in GOLDEN_CI.items():
+        report = read_report(golden_runs / f"{name}.report")
+        assert report.ci_balanced_accuracy == ci_ba
+        assert report.ci_weighted_f1 == ci_f1
+
+
+@pytest.mark.parametrize("statistic", sorted(GOLDEN_P))
+def test_eval_compare_matches_golden_values(golden_runs, statistic, capsys):
+    capsys.readouterr()
+    base = golden_runs / "base.report"
+    assert main(["eval", str(golden_runs / "wsd.report"), "--compare", str(base),
+                 "--bootstrap", "200", "--permutations", "9999",
+                 "--statistic", statistic]) == 0
+    out = capsys.readouterr().out
+    assert "slides: 48 (test); seeds: 2" in out
+    assert "weighted F1:       29.1 (-8.3, +9.2)" in out
+    assert out.rstrip().endswith(
+        f"paired permutation p-value vs {base}: {GOLDEN_P[statistic]}")
+
+
+def test_eval_compare_checks_fingerprint_of_second_report(golden_runs,
+                                                          baseline_run, capsys):
+    assert main(["eval", str(golden_runs / "wsd.report"),
+                 "--compare", str(baseline_run), "--bootstrap", "20"]) == 3
+    assert "fingerprint" in capsys.readouterr().err
+
+
+def test_eval_compare_rejects_different_seed_counts(golden_runs, capsys):
+    one_seed = golden_runs / "one_seed.report"
+    assert main(["train", "--data", str(golden_runs / "ds"), "--model", "maxmil",
+                 "--out", str(one_seed)] + GOLDEN_TRAIN + ["--seeds", "1"]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(golden_runs / "wsd.report"), "--compare",
+                 str(one_seed), "--bootstrap", "20"]) == 3
+    assert "different seed counts (2 vs 1)" in capsys.readouterr().err
+
+
 # ---- attn-map ---------------------------------------------------------------------
 
 

@@ -9,7 +9,6 @@ from wsdmil.metrics import (
     BootstrapResult,
     balanced_accuracy,
     bootstrap_ci,
-    compute_report,
     confusion,
     paired_permutation_test,
     per_class_accuracy,
@@ -58,15 +57,6 @@ def test_perfect_and_inverted_predictions():
     wrong = [(c + 1) % 4 for c in y]
     assert balanced_accuracy(confusion(y, wrong)) == 0.0
     assert weighted_f1(confusion(y, wrong)) == 0.0
-
-
-def test_compute_report_bundles_headline_numbers():
-    rep = compute_report(Y_TRUE, Y_PRED)
-    assert abs(rep.balanced_accuracy - 0.75) < 1e-12
-    assert abs(rep.weighted_f1 - 0.67) < 1e-12
-    assert rep.n == 10
-    assert rep.ci_balanced_accuracy is None
-    assert rep.p_value is None
 
 
 def test_confusion_rejects_bad_labels():
