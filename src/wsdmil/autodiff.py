@@ -104,18 +104,6 @@ class Tensor:
         out._backward = bwd
         return out
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        if self.shape != other.shape:
-            raise ShapeError("sub", self.shape, other.shape)
-        out = Tensor(self.data - other.data, "sub", (self, other))
-
-        def bwd():
-            self.grad += out.grad
-            other.grad -= out.grad
-
-        out._backward = bwd
-        return out
-
     def __mul__(self, other: "Tensor") -> "Tensor":
         if self.shape != other.shape:
             raise ShapeError("mul", self.shape, other.shape)
@@ -183,15 +171,6 @@ class Tensor:
         out._backward = bwd
         return out
 
-    def exp(self) -> "Tensor":
-        out = Tensor(np.exp(self.data), "exp", (self,))
-
-        def bwd():
-            self.grad += out.grad * out.data
-
-        out._backward = bwd
-        return out
-
     # ---- structural ops ----------------------------------------------------------
 
     def transpose(self) -> "Tensor":
@@ -247,19 +226,6 @@ class Tensor:
 
         def bwd():
             self.grad += out.grad[0, 0]
-
-        out._backward = bwd
-        return out
-
-    def dot(self, other: "Tensor") -> "Tensor":
-        if self.shape != other.shape:
-            raise ShapeError("dot", self.shape, other.shape)
-        out = Tensor(np.array([[float(np.sum(self.data * other.data))]]), "dot", (self, other))
-
-        def bwd():
-            g = out.grad[0, 0]
-            self.grad += g * other.data
-            other.grad += g * self.data
 
         out._backward = bwd
         return out

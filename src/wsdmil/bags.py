@@ -20,9 +20,7 @@ import numpy as np
 
 from .gleason import (
     ConsensusLevel,
-    ConsensusRecord,
     GleasonScore,
-    WeightTriple,
     class_of,
     consensus_record,
     parse_score,
@@ -40,7 +38,6 @@ __all__ = [
     "read_bag",
     "read_manifest",
     "write_manifest",
-    "records_for",
     "split_bags",
     "generate_synthetic",
 ]
@@ -212,12 +209,6 @@ def write_manifest(entries, path) -> None:
         non = "-" if e.nonexpert is None else str(e.nonexpert)
         lines.append(f"{e.slide_id}\t{rel.as_posix()}\t{e.expert}\t{non}\t{e.split}")
     path.write_text("\n".join(lines) + "\n")
-
-
-def records_for(entries, weights: WeightTriple | None = None) -> list[ConsensusRecord]:
-    """Consensus records for every entry that carries both scores."""
-    return [consensus_record(e.slide_id, e.expert, e.nonexpert, weights)
-            for e in entries if e.nonexpert is not None]
 
 
 def split_bags(entries, split: str) -> list[ManifestEntry]:

@@ -106,16 +106,21 @@ def _parse_triple_grid(text: str) -> list[WeightTriple]:
 
 
 def _data_root(args) -> Path:
-    root = getattr(args, "data", None) or os.environ.get(DATA_ROOT_ENV)
+    root = args.data or os.environ.get(DATA_ROOT_ENV)
     if not root:
         raise UsageError(f"no data directory: pass --data or set {DATA_ROOT_ENV}")
     return Path(root)
 
 
-def _load_split_samples(manifest_path: Path, weights=None):
+def _load_samples(manifest_path: Path, *splits: str):
+    """Samples of each requested split; none of them may be empty."""
     entries = read_manifest(manifest_path)
-    return {split: samples_from_entries(split_bags(entries, split), weights)
-            for split in ("train", "val", "test")}
+    samples = {split: samples_from_entries(split_bags(entries, split))
+               for split in splits}
+    empty = [split for split in splits if not samples[split]]
+    if empty:
+        raise ValueError(f"no {'/'.join(empty)} slides in {manifest_path}")
+    return samples
 
 
 # ---- gen-synthetic ----------------------------------------------------------------
@@ -220,9 +225,7 @@ def cmd_train(args) -> int:
 
     data = _data_root(args)
     manifest_path = data / "manifest.tsv"
-    samples = _load_split_samples(manifest_path, weights)
-    if not samples["train"] or not samples["val"] or not samples["test"]:
-        raise ValueError(f"manifest {manifest_path} is missing a split")
+    samples = _load_samples(manifest_path, "train", "val", "test")
     input_dim = samples["train"][0].bag.d
     model_config = _config(ModelConfig, head_kind=args.model, input_dim=input_dim,
                            hidden_dim=args.hidden_dim,
@@ -312,7 +315,7 @@ def cmd_grid(args) -> int:
         raise UsageError("grid search supports --method multitask or weighted")
 
     data = _data_root(args)
-    samples = _load_split_samples(data / "manifest.tsv")
+    samples = _load_samples(data / "manifest.tsv", "train", "val")
     model_config = _config(ModelConfig, head_kind=args.model,
                            input_dim=samples["train"][0].bag.d,
                            hidden_dim=args.hidden_dim,
@@ -373,14 +376,11 @@ def cmd_eval(args) -> int:
     manifest_path = None
     if args.manifest:
         manifest_path = Path(args.manifest)
-    elif getattr(args, "data", None) or os.environ.get(DATA_ROOT_ENV):
+    elif args.data or os.environ.get(DATA_ROOT_ENV):
         manifest_path = _data_root(args) / "manifest.tsv"
 
     manifest_path, models, stored = _load_system(Path(args.target), manifest_path)
-    samples = samples_from_entries(split_bags(read_manifest(manifest_path),
-                                              args.split))
-    if not samples:
-        raise ValueError(f"no {args.split} slides in {manifest_path}")
+    samples = _load_samples(manifest_path, args.split)[args.split]
     y_true = np.array([s.label for s in samples], dtype=np.int64)
     preds = [predict_classes(params, mc, samples) for params, mc in models]
 
@@ -472,6 +472,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Difficulty-aware MIL training on whole-slide feature bags")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", help=f"dataset directory (default ${DATA_ROOT_ENV})")
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--model", choices=HEAD_KINDS, default="abmil")
+    fit.add_argument("--lr", type=float, default=1e-3)
+    fit.add_argument("--epochs", type=int, default=30)
+    fit.add_argument("--hidden-dim", type=int, default=256)
+    fit.add_argument("--attention-dim", type=int, default=128)
+    fit.add_argument("--seeds", default=",".join(str(s) for s in DEFAULT_SEEDS))
+    stats = argparse.ArgumentParser(add_help=False)
+    stats.add_argument("--bootstrap", type=int, default=1000,
+                       help="bootstrap resamples for the CI")
+    stats.add_argument("--stats-seed", type=int, default=0)
+
     p = sub.add_parser("gen-synthetic", help="write a synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--slides", type=int, default=None,
@@ -489,45 +503,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=cmd_consensus_stats)
 
-    p = sub.add_parser("train", help="train one configuration across seeds")
-    p.add_argument("--data", help=f"dataset directory (default ${DATA_ROOT_ENV})")
+    p = sub.add_parser("train", parents=[data, fit, stats],
+                       help="train one configuration across seeds")
     p.add_argument("--method", choices=METHODS, default="baseline")
-    p.add_argument("--model", choices=HEAD_KINDS, default="abmil")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--weights", help="NC,HEC,HOC for --method weighted")
     p.add_argument("--allow-any-weights", action="store_true",
                    help="skip the weight-range validation (ablations)")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--hidden-dim", type=int, default=256)
-    p.add_argument("--attention-dim", type=int, default=128)
-    p.add_argument("--seeds", default=",".join(str(s) for s in DEFAULT_SEEDS))
-    p.add_argument("--bootstrap", type=int, default=1000,
-                   help="bootstrap resamples for the CI")
-    p.add_argument("--stats-seed", type=int, default=0)
     p.add_argument("--out", required=True, help="report file to write")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("grid", help="hyperparameter grid search on validation")
-    p.add_argument("--data", help=f"dataset directory (default ${DATA_ROOT_ENV})")
+    p = sub.add_parser("grid", parents=[data, fit],
+                       help="hyperparameter grid search on validation")
     p.add_argument("--method", choices=("multitask", "weighted"), required=True)
-    p.add_argument("--model", choices=HEAD_KINDS, default="abmil")
     p.add_argument("--grid-ab", help='e.g. "(1,0);(1,1);(1,10)"')
     p.add_argument("--grid-weights", help='e.g. "(1,1,1);(4,3,1)"')
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--hidden-dim", type=int, default=256)
-    p.add_argument("--attention-dim", type=int, default=128)
-    p.add_argument("--seeds", default=",".join(str(s) for s in DEFAULT_SEEDS))
     p.add_argument("--out", help="write the table here as well")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("eval", help="evaluate a report or parameter archive")
+    p = sub.add_parser("eval", parents=[data, stats],
+                       help="evaluate a report or parameter archive")
     p.add_argument("target", help="run report (.txt) or parameter archive (.npz)")
     p.add_argument("--manifest", help="manifest to evaluate on "
                    "(default: the one recorded in the report)")
-    p.add_argument("--data", help=f"dataset directory (default ${DATA_ROOT_ENV})")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--compare", help="second report/archive for a paired "
                    "permutation test")
@@ -535,8 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                                            "accuracy_diff"),
                    default="balanced_accuracy_diff")
     p.add_argument("--permutations", type=int, default=10_000)
-    p.add_argument("--bootstrap", type=int, default=1000)
-    p.add_argument("--stats-seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("attn-map", help="export attention heatmap for one bag")

@@ -20,7 +20,6 @@ __all__ = [
     "ConsensusRecord",
     "WeightTriple",
     "BENIGN_TOKEN",
-    "CLASS_NAMES",
     "parse_score",
     "worst_grade",
     "class_of",
@@ -31,8 +30,6 @@ __all__ = [
 ]
 
 BENIGN_TOKEN = 0
-
-CLASS_NAMES = ("benign", "grade3", "grade4", "grade5")
 
 _SCORE_RE = re.compile(r"^\s*([1-5])\s*\+\s*([1-5])\s*$")
 
@@ -172,22 +169,17 @@ def wsd_weight(level: ConsensusLevel, weights: WeightTriple) -> float:
 
 @dataclass(frozen=True)
 class ConsensusRecord:
-    """One slide's rater pair with its derived difficulty and loss weight."""
+    """One slide's rater pair with its derived consensus level and difficulty."""
 
     slide_id: str
     expert: GleasonScore
     nonexpert: GleasonScore
     level: ConsensusLevel
     wsd: float
-    weight: float
 
 
-def consensus_record(slide_id: str, expert: GleasonScore, nonexpert: GleasonScore,
-                     weights: WeightTriple | None = None) -> ConsensusRecord:
-    """Bundle the consensus level, difficulty, and loss weight for one slide.
-
-    Without a weight triple the loss weight defaults to 1.0 (unweighted).
-    """
+def consensus_record(slide_id: str, expert: GleasonScore,
+                     nonexpert: GleasonScore) -> ConsensusRecord:
+    """Bundle the consensus level and difficulty for one slide."""
     level = consensus_level(expert, nonexpert)
-    w = wsd_weight(level, weights) if weights is not None else 1.0
-    return ConsensusRecord(slide_id, expert, nonexpert, level, wsd_score(level), w)
+    return ConsensusRecord(slide_id, expert, nonexpert, level, wsd_score(level))

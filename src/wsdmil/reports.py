@@ -102,14 +102,12 @@ class RunReport:
     mean_weighted_f1: float
     ci_balanced_accuracy: tuple[float, float] | None = None
     ci_weighted_f1: tuple[float, float] | None = None
-    p_value: float | None = None
     created: str = ""
     schema: str = REPORT_SCHEMA
 
     def display_line(self) -> str:
-        starred = self.p_value is not None and self.p_value < 0.05
         return format_score(self.mean_balanced_accuracy,
-                            self.ci_balanced_accuracy, starred)
+                            self.ci_balanced_accuracy)
 
 
 def _fmt_per_class(values) -> str:
@@ -147,8 +145,6 @@ def write_report(report: RunReport, path) -> None:
                     ("ci_weighted_f1", report.ci_weighted_f1)):
         if ci is not None:
             lines.append(f"{key}: {ci[0]!r},{ci[1]!r}")
-    if report.p_value is not None:
-        lines.append(f"p_value: {report.p_value!r}")
     lines.append(f"display: {report.display_line()}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -228,7 +224,6 @@ def read_report(path) -> RunReport:
         mean_weighted_f1=float(mean["weighted_f1"]),
         ci_balanced_accuracy=_ci("ci_balanced_accuracy"),
         ci_weighted_f1=_ci("ci_weighted_f1"),
-        p_value=float(mean["p_value"]) if "p_value" in mean else None,
         created=top.get("created", ""),
         schema=top["schema"])
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor, cross_entropy, squared_error
 from .bags import Bag, ManifestEntry, read_bag
-from .gleason import ConsensusRecord, WeightTriple, consensus_record
+from .gleason import ConsensusRecord, WeightTriple, consensus_record, wsd_weight
 from .metrics import balanced_accuracy, confusion, weighted_f1
 from .models import BagOutput, ModelConfig, forward_bag, init_model
 
@@ -92,14 +92,13 @@ class Sample:
     record: ConsensusRecord | None = None
 
 
-def samples_from_entries(entries: list[ManifestEntry],
-                         weights: WeightTriple | None = None) -> list[Sample]:
+def samples_from_entries(entries: list[ManifestEntry]) -> list[Sample]:
     """Load bags from disk and attach labels and consensus records."""
     samples = []
     for e in entries:
         record = None
         if e.nonexpert is not None:
-            record = consensus_record(e.slide_id, e.expert, e.nonexpert, weights)
+            record = consensus_record(e.slide_id, e.expert, e.nonexpert)
         samples.append(Sample(read_bag(e.bag_path, e.slide_id), e.label(), record))
     return samples
 
@@ -124,11 +123,9 @@ def loss_multitask(output: BagOutput, label: int, wsd_target: float,
     return ce.scale(alpha) + reg.scale(beta)
 
 
-def loss_weighted(output: BagOutput, label: int, record: ConsensusRecord) -> Tensor:
+def loss_weighted(output: BagOutput, label: int, weight: float) -> Tensor:
     """Cross entropy scaled by the slide's consensus-derived weight."""
-    if record.weight <= 0:
-        raise ValueError(f"slide {record.slide_id}: weight must be positive")
-    return cross_entropy(output.class_logits, label).scale(record.weight)
+    return cross_entropy(output.class_logits, label).scale(weight)
 
 
 def bag_loss(output: BagOutput, sample: Sample, config: TrainConfig) -> Tensor:
@@ -140,10 +137,16 @@ def bag_loss(output: BagOutput, sample: Sample, config: TrainConfig) -> Tensor:
     if config.method == "multitask":
         return loss_multitask(output, sample.label, sample.record.wsd,
                               config.alpha, config.beta)
-    return loss_weighted(output, sample.label, sample.record)
+    return loss_weighted(output, sample.label,
+                         wsd_weight(sample.record.level, config.weights))
 
 
 # ---- optimizer --------------------------------------------------------------------
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -151,9 +154,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params: dict[str, Tensor]) -> AdamState:
@@ -164,19 +164,19 @@ def init_adam(params: dict[str, Tensor]) -> AdamState:
 def adam_step(state: AdamState, params: dict[str, Tensor], lr: float) -> None:
     """In-place bias-corrected Adam update from each parameter's .grad."""
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         g = p.grad
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in parameter {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---- training loop ----------------------------------------------------------------
@@ -274,7 +274,6 @@ def train(model_config: ModelConfig, config: TrainConfig,
 
 @dataclass
 class GridRow:
-    config: TrainConfig
     per_seed: list[tuple[float, float]] = field(default_factory=list)
     mean_balanced_accuracy: float = 0.0
     mean_weighted_f1: float = 0.0
@@ -317,7 +316,6 @@ def grid_search(model_config: ModelConfig, configs: list[TrainConfig],
             m = confusion(y_val, y_pred)
             per_seed.append((balanced_accuracy(m), weighted_f1(m)))
         rows.append(GridRow(
-            config=tc,
             per_seed=per_seed,
             mean_balanced_accuracy=float(np.mean([b for b, _ in per_seed])),
             mean_weighted_f1=float(np.mean([f for _, f in per_seed]))))

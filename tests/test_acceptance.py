@@ -19,7 +19,7 @@ from wsdmil.bags import (Bag, BagFormatError, SynthConfig, generate_synthetic,
 from wsdmil.cli import main
 from wsdmil.gleason import (ConsensusLevel, GleasonScore, WeightTriple,
                             consensus_level, consensus_record, parse_score,
-                            wsd_score)
+                            wsd_score, wsd_weight)
 from wsdmil.metrics import (balanced_accuracy, bootstrap_ci, confusion,
                             paired_permutation_test, weighted_f1)
 from wsdmil.models import (HEAD_KINDS, ModelConfig, forward_bag, init_model)
@@ -93,8 +93,8 @@ def test_criterion_01_consensus_matches_brute_force_oracle(verdict):
 
 
 def test_criterion_02_gradients_match_central_differences(verdict):
-    record = consensus_record("accept", parse_score("4+3"), parse_score("3+4"),
-                              HEAVY)
+    weight = wsd_weight(consensus_record("accept", parse_score("4+3"),
+                                         parse_score("3+4")).level, HEAVY)
     start = time.perf_counter()
     worst = 0.0
     for head in HEAD_KINDS:
@@ -111,7 +111,7 @@ def test_criterion_02_gradients_match_central_differences(verdict):
                     return loss_baseline(out, 2)
                 if method == "multitask":
                     return loss_multitask(out, 2, 0.5, alpha=1.0, beta=1.0)
-                return loss_weighted(out, 2, record)
+                return loss_weighted(out, 2, weight)
 
             report = grad_check(loss_fn, list(params.values()),
                                 epsilon=5e-5, tolerance=1e-6)
@@ -128,7 +128,7 @@ def test_criterion_02_gradients_match_central_differences(verdict):
 def test_criterion_03_unit_weight_and_beta_zero_reduce_to_baseline(tiny, verdict):
     mc = ModelConfig("maxmil", 8, hidden_dim=8, attention_dim=4, init_seed=7)
     tc = TrainConfig(epochs=5, seed=3)
-    train_unit = samples_from_entries(split_bags(tiny, "train"), UNIT)
+    train_unit = samples_from_entries(split_bags(tiny, "train"))
     val = samples_from_entries(split_bags(tiny, "val"))
 
     base = train(mc, tc, train_unit, val)
@@ -276,7 +276,7 @@ def test_criterion_09_weighted_loss_beats_baseline_on_default_data(tmp_path, ver
     start = time.perf_counter()
     result = generate_synthetic(SynthConfig(), tmp_path / "default")
     entries = read_manifest(result.manifest_path)
-    train_s = samples_from_entries(split_bags(entries, "train"), HEAVY)
+    train_s = samples_from_entries(split_bags(entries, "train"))
     val_s = samples_from_entries(split_bags(entries, "val"))
     test_s = samples_from_entries(split_bags(entries, "test"))
     y_true = np.array([s.label for s in test_s], dtype=np.int64)

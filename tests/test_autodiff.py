@@ -47,7 +47,7 @@ def test_sum_backward_is_ones():
 
 def test_dot_with_self_gradient_is_2x():
     x = Tensor([[1.0, 2.0]])
-    x.dot(x).backward()
+    (x * x).sum().backward()
     assert_allclose(x.grad, [[2.0, 4.0]])
 
 
@@ -132,13 +132,11 @@ def _primitive_cases():
         ("matmul", [m1, m2], lambda: _contract(m1 @ m2, 1)),
         ("add", [a, b], lambda: _contract(a + b, 2)),
         ("add_row_broadcast", [a, row], lambda: _contract(a + row, 3)),
-        ("sub", [a, b], lambda: _contract(a - b, 4)),
         ("mul", [a, b], lambda: _contract(a * b, 5)),
         ("scale", [a], lambda: _contract(a.scale(-1.7), 6)),
         ("tanh", [a], lambda: _contract(a.tanh(), 7)),
         ("sigmoid", [a], lambda: _contract(a.sigmoid(), 8)),
         ("relu", [safe], lambda: _contract(safe.relu(), 9)),
-        ("exp", [a], lambda: _contract(a.exp(), 10)),
         ("softmax_rows", [a], lambda: _contract(a.softmax_rows(), 11)),
         ("max_rows", [margins], lambda: _contract(margins.max_rows(), 12)),
         ("mean_rows", [a], lambda: _contract(a.mean_rows(), 13)),
@@ -148,7 +146,6 @@ def _primitive_cases():
          lambda: _contract(concat_rows([c1, c2, c3]), 15)),
         ("take_rows", [gather],
          lambda: _contract(take_rows(gather, [2, 0, 2, 3]), 16)),
-        ("dot", [a, b], lambda: a.dot(b)),
         ("cross_entropy", [logits], lambda: cross_entropy(logits, 3)),
         ("squared_error", [pred], lambda: squared_error(pred, 0.3)),
     ]
@@ -166,7 +163,7 @@ def test_grad_check_linear_mse_model():
     w = Tensor(rng.normal(size=(1, 6)), name="w")
     x = Tensor(rng.normal(size=(1, 6)))
 
-    report = grad_check(lambda: squared_error(w.dot(x), 1.25), [w], epsilon=1e-5)
+    report = grad_check(lambda: squared_error((w * x).sum(), 1.25), [w], epsilon=1e-5)
     assert report.max_rel_error < 1e-7
 
 

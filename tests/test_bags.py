@@ -14,12 +14,11 @@ from wsdmil.bags import (
     generate_synthetic,
     read_bag,
     read_manifest,
-    records_for,
     split_bags,
     write_bag,
     write_manifest,
 )
-from wsdmil.gleason import ConsensusLevel, WeightTriple, parse_score
+from wsdmil.gleason import ConsensusLevel, parse_score
 
 # tiny cohorts drift from the calibration targets; that warning is expected here
 pytestmark = pytest.mark.filterwarnings("ignore:consensus mix off calibration")
@@ -232,14 +231,6 @@ def test_split_bags_filters_and_sorts(tmp_path):
     assert split_bags(entries, "val")[0].slide_id == "s2"
     with pytest.raises(ValueError, match="unknown split"):
         split_bags(entries, "validation")
-
-
-def test_records_for_skips_missing_nonexpert(tmp_path):
-    entries = manifest_entries(tmp_path)
-    recs = records_for(entries, WeightTriple(4.0, 3.0, 1.0))
-    assert [r.slide_id for r in recs] == ["s0", "s1"]
-    assert recs[0].level is ConsensusLevel.HETEROGENEOUS
-    assert recs[0].weight == 3.0
 
 
 # ---- synthetic generator ----------------------------------------------------------

@@ -190,15 +190,15 @@ def test_wsd_weight_selects_component():
 
 
 def test_consensus_record_bundles_consistent_fields():
-    rec = consensus_record("s1", parse_score("4+4"), parse_score("3+4"),
-                           WeightTriple(4.0, 3.0, 1.0))
+    rec = consensus_record("s1", parse_score("4+4"), parse_score("3+4"))
     assert rec.level is ConsensusLevel.HETEROGENEOUS
     assert rec.wsd == 0.5
-    assert rec.weight == 3.0
+    assert wsd_weight(rec.level, WeightTriple(4.0, 3.0, 1.0)) == 3.0
     assert rec.slide_id == "s1"
 
 
 def test_consensus_record_without_triple_defaults_to_unit_weight():
     rec = consensus_record("s2", parse_score("3+3"), parse_score("4+3"))
     assert rec.level is ConsensusLevel.NO_CONSENSUS
-    assert rec.weight == 1.0
+    unit = WeightTriple(1.0, 1.0, 1.0, allow_out_of_range=True)
+    assert wsd_weight(rec.level, unit) == 1.0

@@ -84,7 +84,6 @@ def sample_report():
                      mean_weighted_f1=0.35,
                      ci_balanced_accuracy=(0.30, 0.52),
                      ci_weighted_f1=(0.28, 0.44),
-                     p_value=0.021,
                      created="2026-01-01T00:00:00Z")
 
 
@@ -96,28 +95,25 @@ def test_report_round_trip_is_lossless(tmp_path):
     assert back == report
 
 
-def test_report_display_line_stars_significant_runs():
+def test_report_with_legacy_p_value_line_still_reads(tmp_path):
     report = sample_report()
-    line = report.display_line()
-    assert line.endswith("*")
-    assert line.startswith(format_score(report.mean_balanced_accuracy))
-    report.p_value = 0.2
-    assert not report.display_line().endswith("*")
-    report.p_value = None
-    assert not report.display_line().endswith("*")
+    path = tmp_path / "legacy.report"
+    write_report(report, path)
+    text = path.read_text().replace("[mean]\n", "[mean]\np_value: 0.021\n")
+    assert "p_value: 0.021" in text
+    path.write_text(text)
+    assert read_report(path) == report
 
 
 def test_report_optional_fields_default_to_none(tmp_path):
     report = sample_report()
     report.ci_balanced_accuracy = None
     report.ci_weighted_f1 = None
-    report.p_value = None
     path = tmp_path / "bare.report"
     write_report(report, path)
     back = read_report(path)
     assert back.ci_balanced_accuracy is None
     assert back.ci_weighted_f1 is None
-    assert back.p_value is None
 
 
 def test_report_schema_is_checked(tmp_path):

@@ -1,13 +1,15 @@
 """Objectives, Adam, the training loop, and grid search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wsdmil.autodiff import Tensor
 from wsdmil.bags import SynthConfig, generate_synthetic, read_manifest, split_bags
-from wsdmil.gleason import WeightTriple, consensus_record, parse_score
+from wsdmil.gleason import WeightTriple, consensus_record, parse_score, wsd_weight
+from wsdmil.metrics import balanced_accuracy, confusion, weighted_f1
 from wsdmil.models import BagOutput, ModelConfig, init_model
 from wsdmil.training import (
     DEFAULT_ALPHA_BETA_GRID,
@@ -40,8 +42,8 @@ def output_with(logits, wsd=None):
                      else Tensor(np.array([[wsd]], dtype=np.float64)))
 
 
-def hetero_record(weights=None):
-    return consensus_record("s0", parse_score("4+4"), parse_score("3+4"), weights)
+def hetero_record():
+    return consensus_record("s0", parse_score("4+4"), parse_score("3+4"))
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +53,7 @@ def dataset(tmp_path_factory):
     res = generate_synthetic(cfg, tmp_path_factory.mktemp("ds"))
     entries = read_manifest(res.manifest_path)
     return {
-        "train": samples_from_entries(split_bags(entries, "train"), HEAVY),
-        "train_unit": samples_from_entries(split_bags(entries, "train"), UNIT),
+        "train": samples_from_entries(split_bags(entries, "train")),
         "val": samples_from_entries(split_bags(entries, "val")),
         "dim": cfg.feature_dim,
     }
@@ -79,9 +80,9 @@ def test_multitask_combines_terms_to_known_value():
 
 
 def test_weighted_scales_cross_entropy():
-    rec = hetero_record(HEAVY)
-    assert rec.weight == 3.0
-    loss = loss_weighted(output_with([0.0] * 4), 1, rec)
+    rec = hetero_record()
+    assert wsd_weight(rec.level, HEAVY) == 3.0
+    loss = loss_weighted(output_with([0.0] * 4), 1, wsd_weight(rec.level, HEAVY))
     assert abs(loss.data[0, 0] - 3.0 * math.log(4.0)) < 1e-12
 
 
@@ -105,8 +106,8 @@ def test_bag_loss_requires_record_for_wsd_methods(dataset):
 
 def test_unit_weight_equals_baseline_bitwise():
     logits = [0.3, -1.2, 0.8, 0.05]
-    rec = hetero_record(UNIT)
-    weighted = loss_weighted(output_with(logits), 2, rec)
+    rec = hetero_record()
+    weighted = loss_weighted(output_with(logits), 2, wsd_weight(rec.level, UNIT))
     baseline = loss_baseline(output_with(logits), 2)
     assert weighted.data[0, 0] == baseline.data[0, 0]
 
@@ -213,7 +214,7 @@ def test_train_config_validation():
 def test_samples_carry_labels_and_records(dataset):
     for sample in dataset["train"]:
         assert sample.record is not None
-        assert sample.record.weight in (1.0, 3.0, 4.0)
+        assert wsd_weight(sample.record.level, HEAVY) in (1.0, 3.0, 4.0)
         assert sample.label in (0, 1, 2, 3)
         assert sample.bag.d == dataset["dim"]
     for sample in dataset["val"]:
@@ -245,10 +246,10 @@ def test_training_trajectory_is_deterministic(dataset):
 
 def test_unit_weighted_trajectory_matches_baseline_bitwise(dataset):
     base = train(tiny_model(dataset["dim"]), TrainConfig(epochs=5, seed=3),
-                 dataset["train_unit"], dataset["val"])
+                 dataset["train"], dataset["val"])
     wtd = train(tiny_model(dataset["dim"]),
                 TrainConfig(method="weighted", weights=UNIT, epochs=5, seed=3),
-                dataset["train_unit"], dataset["val"])
+                dataset["train"], dataset["val"])
     assert [(h.train_loss, h.val_balanced_accuracy) for h in base.history] == \
            [(h.train_loss, h.val_balanced_accuracy) for h in wtd.history]
     for k in base.params:
@@ -343,6 +344,34 @@ def test_grid_search_scores_every_row(dataset):
     best = res.best
     assert best.mean_balanced_accuracy == max(r.mean_balanced_accuracy
                                               for r in res.rows)
+
+
+def test_weighted_grid_applies_each_triple(dataset):
+    # one sample list serves every triple: the weight comes from TrainConfig
+    mc = tiny_model(dataset["dim"])
+
+    def fit(method="baseline", weights=None, seed=3, model=mc):
+        return train(model, TrainConfig(method=method, weights=weights,
+                                        epochs=2, seed=seed),
+                     dataset["train"], dataset["val"])
+
+    base, unit, heavy = fit(), fit("weighted", UNIT), fit("weighted", HEAVY)
+    for k in base.params:
+        assert unit.params[k].data.tobytes() == base.params[k].data.tobytes()
+    assert any(heavy.params[k].data.tobytes() != unit.params[k].data.tobytes()
+               for k in unit.params)
+
+    configs = [TrainConfig(method="weighted", weights=w, epochs=2)
+               for w in (UNIT, HEAVY)]
+    res = grid_search(mc, configs, dataset["train"], dataset["val"], seeds=(1, 2))
+    y_val = np.array([s.label for s in dataset["val"]], dtype=np.int64)
+    direct = []
+    for seed in (1, 2):
+        mc_seed = replace(mc, init_seed=seed)
+        params = fit("weighted", HEAVY, seed, mc_seed).params
+        m = confusion(y_val, predict_classes(params, mc_seed, dataset["val"]))
+        direct.append((balanced_accuracy(m), weighted_f1(m)))
+    assert res.rows[1].per_seed == direct
 
 
 def test_grid_search_tie_prefers_earlier_row(dataset):
