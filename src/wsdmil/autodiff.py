@@ -3,7 +3,9 @@
 Every value is a rank-2 float64 array (scalars are 1x1, vectors are rows).
 Operations build a fresh define-by-run graph; calling ``backward()`` on a
 scalar node sweeps it in reverse topological order and accumulates adjoints
-into ``.grad`` of every reachable node.  ``grad_check`` provides the
+into ``.grad`` of every reachable node that requires a gradient; the others
+(input features, constants, and everything computed from them alone) have
+``grad`` None and get no adjoint computed.  ``grad_check`` provides the
 central-difference oracle used to validate all analytic gradients.
 """
 
@@ -57,15 +59,21 @@ class Tensor:
 
     Leaves are created directly from data; every primitive below returns a
     new node whose ``_backward`` closure knows how to push its adjoint to
-    its parents.  Gradients accumulate, so callers zero parameter grads
-    between backward passes.
+    those of its parents that require a gradient.  Gradients accumulate, so
+    callers zero parameter grads between backward passes.
+
+    ``requires_grad`` applies to leaves only; a node with parents requires
+    a gradient when any parent does.
     """
 
     __slots__ = ("data", "grad", "op", "name", "_parents", "_backward")
 
-    def __init__(self, data, op: str = "leaf", parents: tuple = (), name: str | None = None):
+    def __init__(self, data, op: str = "leaf", parents: tuple = (),
+                 name: str | None = None, requires_grad: bool = True):
         self.data = _as_matrix(data)
-        self.grad = np.zeros_like(self.data)
+        if parents:
+            requires_grad = any(p.grad is not None for p in parents)
+        self.grad = np.zeros_like(self.data) if requires_grad else None
         self.op = op
         self.name = name
         self._parents = parents
@@ -74,6 +82,10 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.grad is not None
 
     def __repr__(self) -> str:
         label = self.name or self.op
@@ -87,15 +99,19 @@ class Tensor:
             out = Tensor(self.data + other.data, "add", (self, other))
 
             def bwd():
-                self.grad += out.grad
-                other.grad += out.grad
+                if self.grad is not None:
+                    self.grad += out.grad
+                if other.grad is not None:
+                    other.grad += out.grad
 
         elif other.shape == (1, self.shape[1]):
             out = Tensor(self.data + other.data, "add_row", (self, other))
 
             def bwd():
-                self.grad += out.grad
-                other.grad += out.grad.sum(axis=0, keepdims=True)
+                if self.grad is not None:
+                    self.grad += out.grad
+                if other.grad is not None:
+                    other.grad += out.grad.sum(axis=0, keepdims=True)
 
         elif self.shape == (1, other.shape[1]):
             return other + self
@@ -110,8 +126,10 @@ class Tensor:
         out = Tensor(self.data * other.data, "mul", (self, other))
 
         def bwd():
-            self.grad += out.grad * other.data
-            other.grad += out.grad * self.data
+            if self.grad is not None:
+                self.grad += out.grad * other.data
+            if other.grad is not None:
+                other.grad += out.grad * self.data
 
         out._backward = bwd
         return out
@@ -132,8 +150,10 @@ class Tensor:
         out = Tensor(self.data @ other.data, "matmul", (self, other))
 
         def bwd():
-            self.grad += out.grad @ other.data.T
-            other.grad += self.data.T @ out.grad
+            if self.grad is not None:
+                self.grad += out.grad @ other.data.T
+            if other.grad is not None:
+                other.grad += self.data.T @ out.grad
 
         out._backward = bwd
         return out
@@ -233,14 +253,21 @@ class Tensor:
     # ---- backward sweep --------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-sweep from this node; requires a scalar (1x1) value."""
+        """Reverse-sweep from this node; requires a scalar (1x1) value.
+
+        Nodes that require no gradient are left out of the sweep (their
+        parents require none either), so a single-parent op's closure runs
+        only when its parent requires a gradient and needs no check.
+        """
         if self.data.size != 1:
             raise ShapeError("backward", self.shape)
+        if self.grad is None:
+            raise ValueError("backward: the value requires no gradient")
         topo: list[Tensor] = []
         seen: set[int] = set()
 
         def build(t: Tensor) -> None:
-            if id(t) in seen:
+            if id(t) in seen or t.grad is None:
                 return
             seen.add(id(t))
             for p in t._parents:
@@ -267,7 +294,8 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
         row = 0
         for t in tensors:
             n = t.shape[0]
-            t.grad += out.grad[row:row + n]
+            if t.grad is not None:
+                t.grad += out.grad[row:row + n]
             row += n
 
     out._backward = bwd

@@ -113,13 +113,20 @@ def _data_root(args) -> Path:
 
 
 def _load_samples(manifest_path: Path, *splits: str):
-    """Samples of each requested split; none of them may be empty."""
+    """Samples of each requested split; none of them may be empty, and all
+    bags must share one feature dim."""
     entries = read_manifest(manifest_path)
     samples = {split: samples_from_entries(split_bags(entries, split))
                for split in splits}
     empty = [split for split in splits if not samples[split]]
     if empty:
         raise ValueError(f"no {'/'.join(empty)} slides in {manifest_path}")
+    first, *rest = (s.bag for split in splits for s in samples[split])
+    for bag in rest:
+        if bag.d != first.d:
+            raise ValueError(f"slide {bag.slide_id} has feature dim {bag.d}, but "
+                             f"slide {first.slide_id} has {first.d}, in "
+                             f"{manifest_path}")
     return samples
 
 
@@ -212,12 +219,10 @@ def _seed_mean_ci(y_true, preds_per_seed, metric_fn, n_resamples, seed):
 
 def cmd_train(args) -> int:
     weights = None
-    if args.method == "weighted":
-        if not args.weights:
-            raise UsageError("--method weighted needs --weights NC,HEC,HOC")
+    if args.weights:
         weights = _parse_triple(args.weights, args.allow_any_weights)
-    elif args.weights:
-        raise UsageError("--weights only applies to --method weighted")
+    elif args.method == "weighted":
+        raise UsageError("--method weighted needs --weights NC,HEC,HOC")
     seeds = _parse_seeds(args.seeds)
     train_config = _config(TrainConfig, method=args.method, alpha=args.alpha,
                            beta=args.beta, weights=weights,
@@ -296,13 +301,17 @@ def cmd_train(args) -> int:
 def cmd_grid(args) -> int:
     seeds = _parse_seeds(args.seeds)
     if args.method == "multitask":
+        if args.grid_weights:
+            raise UsageError("--grid-weights only applies to --method weighted")
         points = (_parse_pair_grid(args.grid_ab) if args.grid_ab
                   else list(DEFAULT_ALPHA_BETA_GRID))
         configs = [_config(TrainConfig, method="multitask", alpha=a, beta=b,
                            learning_rate=args.lr, epochs=args.epochs)
                    for a, b in points]
         labels = [f"({a:g},{b:g})" for a, b in points]
-    elif args.method == "weighted":
+    else:  # the parser allows only multitask and weighted
+        if args.grid_ab:
+            raise UsageError("--grid-ab only applies to --method multitask")
         triples = (_parse_triple_grid(args.grid_weights) if args.grid_weights
                    else [WeightTriple(*t, allow_out_of_range=True)
                          for t in DEFAULT_WEIGHT_GRID])
@@ -311,8 +320,6 @@ def cmd_grid(args) -> int:
                    for t in triples]
         labels = [f"({t.no_consensus:g},{t.heterogeneous:g},{t.homogeneous:g})"
                   for t in triples]
-    else:
-        raise UsageError("grid search supports --method multitask or weighted")
 
     data = _data_root(args)
     samples = _load_samples(data / "manifest.tsv", "train", "val")

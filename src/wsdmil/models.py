@@ -62,7 +62,9 @@ class BagOutput:
     """Forward-pass result for one bag.
 
     class_logits and wsd_prediction stay attached to the graph for loss
-    backprop; attention and bag_embedding are detached copies.
+    backprop; attention and bag_embedding are detached copies.  The feature
+    leaf requires no gradient, so only nodes computed from parameters get
+    one.
     """
 
     class_logits: Tensor
@@ -142,7 +144,7 @@ def _minmax(values: np.ndarray) -> np.ndarray:
 def forward_maxmil(params: dict[str, Tensor], features: np.ndarray) -> BagOutput:
     """Instance-level MLP with per-class max pooling of instance logits."""
     _check_dim(params, "embed.w", features)
-    x = Tensor(features, name="features")
+    x = Tensor(features, name="features", requires_grad=False)
     hidden = (x @ params["embed.w"] + params["embed.b"]).relu()   # (n, H)
     inst_logits = hidden @ params["cls.w"] + params["cls.b"]      # (n, 4)
     logits = inst_logits.max_rows()                               # (1, 4)
@@ -158,7 +160,7 @@ def forward_abmil(params: dict[str, Tensor], features: np.ndarray,
                   gated: bool = False) -> BagOutput:
     """Attention pooling over embedded instances, optionally gated."""
     _check_dim(params, "embed.w", features)
-    x = Tensor(features, name="features")
+    x = Tensor(features, name="features", requires_grad=False)
     hidden = (x @ params["embed.w"] + params["embed.b"]).relu()   # (n, H)
     branch = (hidden @ params["attn_v.w"]).tanh()                 # (n, L)
     if gated:
@@ -182,7 +184,7 @@ def forward_dsmil(params: dict[str, Tensor], features: np.ndarray) -> BagOutput:
     value vectors per class.  Final logits average the two streams.
     """
     _check_dim(params, "inst.w", features)
-    x = Tensor(features, name="features")
+    x = Tensor(features, name="features", requires_grad=False)
     inst_logits = x @ params["inst.w"] + params["inst.b"]         # (n, 4)
     queries = x @ params["query.w"] + params["query.b"]           # (n, L)
     values = x @ params["value.w"] + params["value.b"]            # (n, H)
@@ -197,7 +199,7 @@ def forward_dsmil(params: dict[str, Tensor], features: np.ndarray) -> BagOutput:
         attn_rows.append(attn_c)
         bag_rows.append(attn_c @ values)                          # (1, H)
     bag_embed = concat_rows(bag_rows)                             # (4, H)
-    ones = Tensor(np.ones((params["value.w"].shape[1], 1)))
+    ones = Tensor(np.ones((params["value.w"].shape[1], 1)), requires_grad=False)
     bag_logits = ((bag_embed * params["bag_cls.w"]) @ ones).transpose() \
         + params["bag_cls.b"]                                     # (1, 4)
     logits = (inst_logits.max_rows() + bag_logits).scale(0.5)

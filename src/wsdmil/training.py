@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError("alpha and beta must be >= 0")
         if self.method == "weighted" and self.weights is None:
             raise ValueError("weighted method needs a weight triple")
+        if self.method != "weighted" and self.weights is not None:
+            raise ValueError(f"{self.method} method takes no weight triple")
         if self.learning_rate <= 0 or self.epochs < 1:
             raise ValueError("learning_rate must be > 0 and epochs >= 1")
 
@@ -199,8 +201,15 @@ class TrainResult:
 
 def predict_classes(params: dict[str, Tensor], model_config: ModelConfig,
                     samples: list[Sample]) -> np.ndarray:
-    """Argmax class per sample."""
-    return np.array([forward_bag(params, model_config, s.bag).predicted_class()
+    """Argmax class per sample.
+
+    The forward passes run on gradient-free views of the parameters (same
+    arrays, no copy), so they build no gradient buffers and leave every
+    parameter's ``.grad`` as it was.
+    """
+    frozen = {k: Tensor(p.data, name=k, requires_grad=False)
+              for k, p in params.items()}
+    return np.array([forward_bag(frozen, model_config, s.bag).predicted_class()
                      for s in samples], dtype=np.int64)
 
 

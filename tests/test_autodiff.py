@@ -191,3 +191,88 @@ def test_cross_entropy_rejects_bad_label_and_shape():
         cross_entropy(Tensor(np.zeros((1, 4))), 4)
     with pytest.raises(ShapeError):
         cross_entropy(Tensor(np.zeros((2, 4))), 1)
+
+
+# ---- gradient-free leaves ---------------------------------------------------------
+
+
+def test_gradient_free_leaf_has_no_grad_after_backward():
+    w = Tensor(np.ones((3, 2)), name="w")
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=False)
+    out = x @ w
+    assert x.grad is None and not x.requires_grad
+    assert w.requires_grad and out.requires_grad
+    out.sum().backward()
+    assert x.grad is None
+    assert_allclose(w.grad, np.repeat(x.data.sum(axis=0, keepdims=True).T, 2, axis=1))
+
+
+def test_node_requires_grad_when_any_parent_does():
+    free = Tensor(np.ones((2, 2)), requires_grad=False)
+    live = Tensor(np.ones((2, 2)))
+    assert (free + free).grad is None
+    assert (free * free).tanh().grad is None
+    assert (free + live).requires_grad
+    assert concat_rows([free, live]).requires_grad
+
+
+def test_backward_from_gradient_free_value_is_rejected():
+    x = Tensor(np.ones((2, 2)), requires_grad=False)
+    with pytest.raises(ValueError, match="requires no gradient"):
+        x.sum().backward()
+
+
+def test_gradient_free_view_shares_the_array():
+    data = np.ones((2, 3))
+    assert Tensor(data, requires_grad=False).data is data
+
+
+# (name, op over the operands, operand shapes); every primitive appears
+_OPS = [
+    ("matmul", lambda a, b: a @ b, [(3, 4), (4, 2)]),
+    ("add", lambda a, b: a + b, [(3, 4), (3, 4)]),
+    ("add_row_broadcast", lambda a, b: a + b, [(3, 4), (1, 4)]),
+    ("add_row_broadcast_left", lambda a, b: a + b, [(1, 4), (3, 4)]),
+    ("mul", lambda a, b: a * b, [(3, 4), (3, 4)]),
+    ("mul_self", lambda a: a * a, [(3, 4)]),
+    ("scale", lambda a: a.scale(-1.7), [(3, 4)]),
+    ("tanh", lambda a: a.tanh(), [(3, 4)]),
+    ("sigmoid", lambda a: a.sigmoid(), [(3, 4)]),
+    ("relu", lambda a: a.relu(), [(3, 4)]),
+    ("softmax_rows", lambda a: a.softmax_rows(), [(3, 4)]),
+    ("max_rows", lambda a: a.max_rows(), [(5, 3)]),
+    ("mean_rows", lambda a: a.mean_rows(), [(3, 4)]),
+    ("sum", lambda a: a.sum(), [(3, 4)]),
+    ("transpose", lambda a: a.transpose(), [(3, 4)]),
+    ("concat_rows", lambda a, b, c: concat_rows([a, b, c]),
+     [(2, 3), (1, 3), (3, 3)]),
+    ("take_rows", lambda a: take_rows(a, [2, 0, 2, 3]), [(4, 3)]),
+    ("cross_entropy", lambda a: cross_entropy(a, 3), [(1, 5)]),
+    ("squared_error", lambda a: squared_error(a, 0.3), [(1, 1)]),
+]
+
+
+def _grads(op, arrays, weight, free):
+    """Grads of the parameters of (op(operands) * weight).sum(), where
+    operand i is gradient-free when free[i] and weight is a parameter."""
+    operands = [Tensor(a, requires_grad=not f) for a, f in zip(arrays, free)]
+    w = Tensor(weight)
+    (op(*operands) * w).sum().backward()
+    return [None if t.grad is None else t.grad.copy() for t in operands], w.grad
+
+
+@pytest.mark.parametrize("name,op,shapes", _OPS, ids=[c[0] for c in _OPS])
+def test_gradient_free_operands_leave_parameter_grads_bit_identical(name, op, shapes):
+    rng = np.random.default_rng(len(name))
+    arrays = [rng.uniform(-2.0, 2.0, size=s) for s in shapes]
+    weight = rng.uniform(0.5, 1.5, size=op(*map(Tensor, arrays)).shape)
+    ref_grads, ref_w = _grads(op, arrays, weight, [False] * len(arrays))
+    for mask in range(1, 2 ** len(arrays)):
+        free = [bool(mask >> i & 1) for i in range(len(arrays))]
+        grads, w_grad = _grads(op, arrays, weight, free)
+        assert w_grad.tobytes() == ref_w.tobytes()
+        for g, ref, f in zip(grads, ref_grads, free):
+            if f:
+                assert g is None
+            else:
+                assert g.tobytes() == ref.tobytes()

@@ -123,11 +123,34 @@ def test_train_usage_errors(dataset, tmp_path):
     base = ["train", "--data", str(dataset), "--out", out]
     assert main(base + ["--method", "weighted"]) == 2  # weights missing
     assert main(base + ["--method", "baseline", "--weights", "4,3,1"]) == 2
+    assert main(base + ["--method", "multitask", "--weights", "4,3,1"]) == 2
     assert main(base + ["--method", "weighted", "--weights", "1,1,1"]) == 2
     assert main(base + ["--method", "weighted", "--weights", "4,3"]) == 2
     assert main(base + ["--seeds", ""]) == 2
     assert main(base + ["--epochs", "0"]) == 2
     assert main(["train", "--out", out]) == 2  # no --data and no env
+
+
+def test_train_mixed_feature_dims_fail_before_training(tmp_path, capsys):
+    root = tmp_path / "mixed"
+    assert main(["gen-synthetic", "--out", str(root), "--splits", "4,2,2",
+                 "--dim", "8", "--size-factor", "0.02", "--seed", "5"]) == 0
+    manifest = root / "manifest.tsv"
+    rows = [line.split("\t") for line in manifest.read_text().splitlines()
+            if not line.startswith("#")]
+    slide, bag_file = next((r[0], r[1]) for r in rows if r[4] == "val")
+    wide = Bag(slide_id=slide, features=np.ones((3, 9)),
+               coords=np.array([[0, 0], [0, 1], [1, 0]], dtype=np.int64))
+    write_bag(wide, root / bag_file)
+    capsys.readouterr()
+    out = tmp_path / "r.report"
+    assert main(["train", "--data", str(root), "--out", str(out)]
+                + FAST_TRAIN) == 3
+    captured = capsys.readouterr()
+    assert f"slide {slide} has feature dim 9" in captured.err
+    assert str(manifest) in captured.err
+    assert "seed" not in captured.out  # no seed began training
+    assert not out.exists()
 
 
 def test_train_env_var_supplies_data_root(dataset, tmp_path, monkeypatch):
@@ -181,6 +204,21 @@ def test_grid_rejects_bad_points(dataset):
     common = ["grid", "--data", str(dataset), "--epochs", "1", "--seeds", "1"]
     assert main(common + ["--method", "multitask", "--grid-ab", "(1)"]) == 2
     assert main(common + ["--method", "weighted", "--grid-weights", "(1,2)"]) == 2
+
+
+def test_grid_weighted_rejects_alpha_beta_grid(dataset, capsys):
+    assert main(["grid", "--data", str(dataset), "--epochs", "1", "--seeds", "1",
+                 "--method", "weighted", "--grid-ab", "(1,5)",
+                 "--grid-weights", "(4,3,1)"]) == 2
+    assert "--grid-ab only applies to --method multitask" in capsys.readouterr().err
+
+
+def test_grid_multitask_rejects_weight_grid(dataset, capsys):
+    assert main(["grid", "--data", str(dataset), "--epochs", "1", "--seeds", "1",
+                 "--method", "multitask", "--grid-ab", "(1,5)",
+                 "--grid-weights", "(4,3,1)"]) == 2
+    assert ("--grid-weights only applies to --method weighted"
+            in capsys.readouterr().err)
 
 
 # ---- eval -------------------------------------------------------------------------

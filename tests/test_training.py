@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wsdmil import training
 from wsdmil.autodiff import Tensor
 from wsdmil.bags import SynthConfig, generate_synthetic, read_manifest, split_bags
 from wsdmil.gleason import WeightTriple, consensus_record, parse_score, wsd_weight
 from wsdmil.metrics import balanced_accuracy, confusion, weighted_f1
-from wsdmil.models import BagOutput, ModelConfig, init_model
+from wsdmil.models import HEAD_KINDS, BagOutput, ModelConfig, forward_bag, init_model
 from wsdmil.training import (
     DEFAULT_ALPHA_BETA_GRID,
     DEFAULT_WEIGHT_GRID,
@@ -203,6 +204,9 @@ def test_train_config_validation():
         TrainConfig(method="focal")
     with pytest.raises(ValueError, match="weight triple"):
         TrainConfig(method="weighted")
+    for method in ("baseline", "multitask"):
+        with pytest.raises(ValueError, match=f"{method} method takes no weight"):
+            TrainConfig(method=method, weights=HEAVY)
     with pytest.raises(ValueError, match=">= 0"):
         TrainConfig(alpha=-1.0)
     with pytest.raises(ValueError, match="epochs"):
@@ -328,6 +332,39 @@ def test_predictions_have_sample_shape(dataset):
     assert pred.shape == (len(dataset["val"]),)
     assert pred.dtype == np.int64
     assert set(pred) <= {0, 1, 2, 3}
+
+
+def test_predict_classes_builds_no_gradients(dataset, monkeypatch):
+    mc = tiny_model(dataset["dim"], head="dsmil", reg=True)
+    params = init_model(mc)
+    rng = np.random.default_rng(0)
+    for p in params.values():
+        p.grad[...] = rng.normal(size=p.shape)
+    before = {k: (p.grad, p.grad.tobytes()) for k, p in params.items()}
+    outputs = []
+
+    def recording_forward(*args):
+        outputs.append(forward_bag(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(training, "forward_bag", recording_forward)
+    predict_classes(params, mc, dataset["val"])
+    assert len(outputs) == len(dataset["val"])
+    assert all(o.class_logits.grad is None and o.wsd_prediction.grad is None
+               for o in outputs)
+    for k, p in params.items():
+        assert p.grad is before[k][0]
+        assert p.grad.tobytes() == before[k][1]
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_predict_classes_matches_forward_on_live_parameters(dataset, head):
+    mc = tiny_model(dataset["dim"], head=head, reg=True)
+    params = train(mc, TrainConfig(epochs=1, seed=1),
+                   dataset["train"], dataset["val"]).params
+    live = [forward_bag(params, mc, s.bag).predicted_class()
+            for s in dataset["val"]]
+    assert predict_classes(params, mc, dataset["val"]).tolist() == live
 
 
 # ---- grid search ------------------------------------------------------------------
