@@ -57,27 +57,28 @@ def _as_matrix(data) -> np.ndarray:
 class Tensor:
     """A node in the differentiation graph holding a 2-D float64 value.
 
-    Leaves are created directly from data; every primitive below returns a
-    new node whose ``_backward`` closure knows how to push its adjoint to
-    those of its parents that require a gradient.  Gradients accumulate, so
-    callers zero parameter grads between backward passes.
+    Leaves are created directly from data.  Every primitive below returns a
+    node whose parents are ``(parent, vjp)`` pairs, in operand order: ``vjp``
+    maps the node's adjoint to that parent's share of it.  A vjp holds
+    arrays and parents but never its own node, so a graph has no reference
+    cycles and is freed as soon as its output goes out of scope.  Gradients
+    accumulate, so callers zero parameter grads between backward passes.
 
     ``requires_grad`` applies to leaves only; a node with parents requires
     a gradient when any parent does.
     """
 
-    __slots__ = ("data", "grad", "op", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "op", "name", "_parents")
 
     def __init__(self, data, op: str = "leaf", parents: tuple = (),
                  name: str | None = None, requires_grad: bool = True):
         self.data = _as_matrix(data)
         if parents:
-            requires_grad = any(p.grad is not None for p in parents)
+            requires_grad = any(p.grad is not None for p, _ in parents)
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self.op = op
         self.name = name
         self._parents = parents
-        self._backward: Callable[[], None] = lambda: None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -96,111 +97,54 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         # equal shapes, or broadcast of a single row across matrix rows
         if self.shape == other.shape:
-            out = Tensor(self.data + other.data, "add", (self, other))
-
-            def bwd():
-                if self.grad is not None:
-                    self.grad += out.grad
-                if other.grad is not None:
-                    other.grad += out.grad
-
-        elif other.shape == (1, self.shape[1]):
-            out = Tensor(self.data + other.data, "add_row", (self, other))
-
-            def bwd():
-                if self.grad is not None:
-                    self.grad += out.grad
-                if other.grad is not None:
-                    other.grad += out.grad.sum(axis=0, keepdims=True)
-
-        elif self.shape == (1, other.shape[1]):
+            return Tensor(self.data + other.data, "add",
+                          ((self, _identity), (other, _identity)))
+        if other.shape == (1, self.shape[1]):
+            return Tensor(self.data + other.data, "add_row",
+                          ((self, _identity),
+                           (other, lambda g: g.sum(axis=0, keepdims=True))))
+        if self.shape == (1, other.shape[1]):
             return other + self
-        else:
-            raise ShapeError("add", self.shape, other.shape)
-        out._backward = bwd
-        return out
+        raise ShapeError("add", self.shape, other.shape)
 
     def __mul__(self, other: "Tensor") -> "Tensor":
         if self.shape != other.shape:
             raise ShapeError("mul", self.shape, other.shape)
-        out = Tensor(self.data * other.data, "mul", (self, other))
-
-        def bwd():
-            if self.grad is not None:
-                self.grad += out.grad * other.data
-            if other.grad is not None:
-                other.grad += out.grad * self.data
-
-        out._backward = bwd
-        return out
+        a, b = self.data, other.data
+        return Tensor(a * b, "mul", ((self, lambda g: g * b), (other, lambda g: g * a)))
 
     def scale(self, c: float) -> "Tensor":
         c = float(c)
-        out = Tensor(self.data * c, "scale", (self,))
-
-        def bwd():
-            self.grad += out.grad * c
-
-        out._backward = bwd
-        return out
+        return Tensor(self.data * c, "scale", ((self, lambda g: g * c),))
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         if self.shape[1] != other.shape[0]:
             raise ShapeError("matmul", self.shape, other.shape)
-        out = Tensor(self.data @ other.data, "matmul", (self, other))
-
-        def bwd():
-            if self.grad is not None:
-                self.grad += out.grad @ other.data.T
-            if other.grad is not None:
-                other.grad += self.data.T @ out.grad
-
-        out._backward = bwd
-        return out
+        a, b = self.data, other.data
+        return Tensor(a @ b, "matmul",
+                      ((self, lambda g: g @ b.T), (other, lambda g: a.T @ g)))
 
     # ---- elementwise nonlinearities ---------------------------------------------
 
     def tanh(self) -> "Tensor":
-        out = Tensor(np.tanh(self.data), "tanh", (self,))
-
-        def bwd():
-            self.grad += out.grad * (1.0 - out.data * out.data)
-
-        out._backward = bwd
-        return out
+        y = np.tanh(self.data)
+        return Tensor(y, "tanh", ((self, lambda g: g * (1.0 - y * y)),))
 
     def sigmoid(self) -> "Tensor":
         # split by sign to avoid overflow in exp
         x = self.data
         s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                      np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        out = Tensor(s, "sigmoid", (self,))
-
-        def bwd():
-            self.grad += out.grad * out.data * (1.0 - out.data)
-
-        out._backward = bwd
-        return out
+        return Tensor(s, "sigmoid", ((self, lambda g: g * s * (1.0 - s)),))
 
     def relu(self) -> "Tensor":
-        out = Tensor(np.maximum(self.data, 0.0), "relu", (self,))
-
-        def bwd():
-            self.grad += out.grad * (self.data > 0.0)
-
-        out._backward = bwd
-        return out
+        x = self.data
+        return Tensor(np.maximum(x, 0.0), "relu", ((self, lambda g: g * (x > 0.0)),))
 
     # ---- structural ops ----------------------------------------------------------
 
     def transpose(self) -> "Tensor":
-        out = Tensor(self.data.T.copy(), "transpose", (self,))
-
-        def bwd():
-            self.grad += out.grad.T
-
-        out._backward = bwd
-        return out
+        return Tensor(self.data.T.copy(), "transpose", ((self, lambda g: g.T),))
 
     # ---- reductions ----------------------------------------------------------------
 
@@ -208,76 +152,73 @@ class Tensor:
         shifted = self.data - self.data.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         s = e / e.sum(axis=1, keepdims=True)
-        out = Tensor(s, "softmax_rows", (self,))
-
-        def bwd():
-            g = out.grad
-            dot = (g * out.data).sum(axis=1, keepdims=True)
-            self.grad += out.data * (g - dot)
-
-        out._backward = bwd
-        return out
+        return Tensor(s, "softmax_rows",
+                      ((self, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True))),))
 
     def max_rows(self) -> "Tensor":
         # columnwise max across rows; ties resolve to the lowest row index
-        idx = np.argmax(self.data, axis=0)
-        out = Tensor(self.data[idx, np.arange(self.shape[1])].reshape(1, -1),
-                     "max_rows", (self,))
-
-        def bwd():
-            cols = np.arange(self.shape[1])
-            np.add.at(self.grad, (idx, cols), out.grad[0])
-
-        out._backward = bwd
-        return out
+        cells = (np.argmax(self.data, axis=0), np.arange(self.shape[1]))
+        return Tensor(self.data[cells].reshape(1, -1), "max_rows",
+                      ((self, lambda g: _scatter(self.shape, cells, g[0])),))
 
     def mean_rows(self) -> "Tensor":
-        n = self.shape[0]
-        out = Tensor(self.data.mean(axis=0, keepdims=True), "mean_rows", (self,))
-
-        def bwd():
-            self.grad += np.broadcast_to(out.grad / n, self.shape)
-
-        out._backward = bwd
-        return out
+        n, shape = self.shape[0], self.shape
+        return Tensor(self.data.mean(axis=0, keepdims=True), "mean_rows",
+                      ((self, lambda g: np.broadcast_to(g / n, shape)),))
 
     def sum(self) -> "Tensor":
-        out = Tensor(np.array([[self.data.sum()]]), "sum", (self,))
-
-        def bwd():
-            self.grad += out.grad[0, 0]
-
-        out._backward = bwd
-        return out
+        return Tensor(np.array([[self.data.sum()]]), "sum",
+                      ((self, lambda g: g[0, 0]),))
 
     # ---- backward sweep --------------------------------------------------------
 
     def backward(self) -> None:
         """Reverse-sweep from this node; requires a scalar (1x1) value.
 
-        Nodes that require no gradient are left out of the sweep (their
-        parents require none either), so a single-parent op's closure runs
-        only when its parent requires a gradient and needs no check.
+        This is the one place that adds into ``.grad``: each node's parents,
+        in operand order, receive ``vjp(node.grad)`` when they require a
+        gradient.  Nodes that require none are left out of the sweep.
         """
         if self.data.size != 1:
             raise ShapeError("backward", self.shape)
         if self.grad is None:
             raise ValueError("backward: the value requires no gradient")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-
-        def build(t: Tensor) -> None:
-            if id(t) in seen or t.grad is None:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                build(p)
-            topo.append(t)
-
-        build(self)
+        order: list[Tensor] = []
+        _topo_sort(self, set(), order)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            node._backward()
+        for node in reversed(order):
+            for parent, vjp in node._parents:
+                if parent.grad is not None:
+                    parent.grad += vjp(node.grad)
+
+
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
+
+
+def _topo_sort(node: Tensor, seen: set[int], order: list[Tensor]) -> None:
+    """Append the nodes below ``node`` that require a gradient, parents first."""
+    if id(node) in seen or node.grad is None:
+        return
+    seen.add(id(node))
+    for parent, _ in node._parents:
+        _topo_sort(parent, seen, order)
+    order.append(node)
+
+
+def _scatter(shape: tuple[int, int], cells, values: np.ndarray) -> np.ndarray:
+    """A zero adjoint of ``shape`` with ``values`` added at ``cells``.
+
+    ``backward`` then adds this share to the parent's grad.  That is bit
+    identical to adding ``values`` straight into the grad whenever no cell
+    is hit twice in one call: always for ``max_rows``, and for ``take_rows``
+    with distinct indices, as in every model head (DSMIL takes one row per
+    call).  Repeated indices sum their rows first, which can round
+    differently in the last bit.
+    """
+    share = np.zeros(shape)
+    np.add.at(share, cells, values)
+    return share
 
 
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
@@ -288,18 +229,10 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     for t in tensors:
         if t.shape[1] != cols:
             raise ShapeError("concat_rows", tensors[0].shape, t.shape)
-    out = Tensor(np.vstack([t.data for t in tensors]), "concat_rows", tuple(tensors))
-
-    def bwd():
-        row = 0
-        for t in tensors:
-            n = t.shape[0]
-            if t.grad is not None:
-                t.grad += out.grad[row:row + n]
-            row += n
-
-    out._backward = bwd
-    return out
+    bounds = np.cumsum([0] + [t.shape[0] for t in tensors])
+    return Tensor(np.vstack([t.data for t in tensors]), "concat_rows",
+                  tuple((t, lambda g, lo=lo, hi=hi: g[lo:hi])
+                        for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:])))
 
 
 def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
@@ -307,13 +240,8 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= x.shape[0]:
         raise ShapeError("take_rows", x.shape, (idx.size,))
-    out = Tensor(x.data[idx].copy(), "take_rows", (x,))
-
-    def bwd():
-        np.add.at(x.grad, idx, out.grad)
-
-    out._backward = bwd
-    return out
+    return Tensor(x.data[idx].copy(), "take_rows",
+                  ((x, lambda g: _scatter(x.shape, idx, g)),))
 
 
 def cross_entropy(logits: Tensor, label: int) -> Tensor:
@@ -326,16 +254,10 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     row = logits.data[0]
     m = row.max()
     logz = m + np.log(np.exp(row - m).sum())
-    out = Tensor(np.array([[logz - row[label]]]), "cross_entropy", (logits,))
-
-    def bwd():
-        g = out.grad[0, 0]
-        p = np.exp(row - logz)
-        p[label] -= 1.0
-        logits.grad[0] += g * p
-
-    out._backward = bwd
-    return out
+    p = np.exp(row - logz)
+    p[label] -= 1.0
+    return Tensor(np.array([[logz - row[label]]]), "cross_entropy",
+                  ((logits, lambda g: g[0, 0] * p),))
 
 
 def squared_error(pred: Tensor, target: float) -> Tensor:
@@ -343,13 +265,8 @@ def squared_error(pred: Tensor, target: float) -> Tensor:
     if pred.data.size != 1:
         raise ShapeError("squared_error", pred.shape)
     diff = pred.data[0, 0] - float(target)
-    out = Tensor(np.array([[diff * diff]]), "squared_error", (pred,))
-
-    def bwd():
-        pred.grad += out.grad * (2.0 * diff)
-
-    out._backward = bwd
-    return out
+    return Tensor(np.array([[diff * diff]]), "squared_error",
+                  ((pred, lambda g: g * (2.0 * diff)),))
 
 
 @dataclass

@@ -64,45 +64,16 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _parse_triple(text: str, allow_out_of_range: bool) -> WeightTriple:
-    parts = text.replace("(", "").replace(")", "").split(",")
-    if len(parts) != 3:
-        raise UsageError(f"weights must be three comma-separated numbers, "
-                         f"got {text!r}")
+def _parse_point(text: str, arity: int) -> tuple[float, ...]:
+    """``arity`` comma-separated numbers, optionally in parentheses."""
     try:
-        nc, hec, hoc = (float(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"bad weight triple {text!r}") from exc
-    return _config(WeightTriple, nc, hec, hoc, allow_out_of_range=allow_out_of_range)
-
-
-def _parse_pair_grid(text: str) -> list[tuple[float, float]]:
-    pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip().strip("()")
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise UsageError(f"bad (alpha,beta) point {chunk!r}")
-        try:
-            pairs.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise UsageError(f"bad (alpha,beta) point {chunk!r}") from exc
-    if not pairs:
-        raise UsageError("empty (alpha,beta) grid")
-    return pairs
-
-
-def _parse_triple_grid(text: str) -> list[WeightTriple]:
-    triples = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            triples.append(_parse_triple(chunk, allow_out_of_range=True))
-    if not triples:
-        raise UsageError("empty weight grid")
-    return triples
+        point = tuple(float(p) for p in text.strip().strip("()").split(","))
+    except ValueError:
+        point = ()
+    if len(point) != arity:
+        raise UsageError(f"bad point {text!r}: expected {arity} "
+                         f"comma-separated numbers")
+    return point
 
 
 def _data_root(args) -> Path:
@@ -220,7 +191,8 @@ def _seed_mean_ci(y_true, preds_per_seed, metric_fn, n_resamples, seed):
 def cmd_train(args) -> int:
     weights = None
     if args.weights:
-        weights = _parse_triple(args.weights, args.allow_any_weights)
+        weights = _config(WeightTriple, *_parse_point(args.weights, 3),
+                          allow_out_of_range=args.allow_any_weights)
     elif args.method == "weighted":
         raise UsageError("--method weighted needs --weights NC,HEC,HOC")
     seeds = _parse_seeds(args.seeds)
@@ -303,23 +275,27 @@ def cmd_grid(args) -> int:
     if args.method == "multitask":
         if args.grid_weights:
             raise UsageError("--grid-weights only applies to --method weighted")
-        points = (_parse_pair_grid(args.grid_ab) if args.grid_ab
-                  else list(DEFAULT_ALPHA_BETA_GRID))
-        configs = [_config(TrainConfig, method="multitask", alpha=a, beta=b,
-                           learning_rate=args.lr, epochs=args.epochs)
-                   for a, b in points]
-        labels = [f"({a:g},{b:g})" for a, b in points]
+        text, points = args.grid_ab, DEFAULT_ALPHA_BETA_GRID
+
+        def point_config(alpha, beta):
+            return {"alpha": alpha, "beta": beta}
     else:  # the parser allows only multitask and weighted
         if args.grid_ab:
             raise UsageError("--grid-ab only applies to --method multitask")
-        triples = (_parse_triple_grid(args.grid_weights) if args.grid_weights
-                   else [WeightTriple(*t, allow_out_of_range=True)
-                         for t in DEFAULT_WEIGHT_GRID])
-        configs = [_config(TrainConfig, method="weighted", weights=t,
-                           learning_rate=args.lr, epochs=args.epochs)
-                   for t in triples]
-        labels = [f"({t.no_consensus:g},{t.heterogeneous:g},{t.homogeneous:g})"
-                  for t in triples]
+        text, points = args.grid_weights, DEFAULT_WEIGHT_GRID
+
+        def point_config(*triple):
+            return {"weights": _config(WeightTriple, *triple,
+                                       allow_out_of_range=True)}
+    if text:
+        points = [_parse_point(chunk, len(points[0]))
+                  for chunk in text.split(";") if chunk.strip()]
+        if not points:
+            raise UsageError(f"empty grid {text!r}")
+    configs = [_config(TrainConfig, method=args.method, learning_rate=args.lr,
+                       epochs=args.epochs, **point_config(*point))
+               for point in points]
+    labels = [f"({','.join(f'{x:g}' for x in point)})" for point in points]
 
     data = _data_root(args)
     samples = _load_samples(data / "manifest.tsv", "train", "val")
@@ -356,13 +332,14 @@ def cmd_grid(args) -> int:
 
 
 def _load_system(target: Path, manifest_path: Path | None):
-    """Per-seed (params, config) of a params archive or a run report.
+    """Per-seed (archive path, (params, config)) of a params archive or a
+    run report.
 
     Returns (manifest_path, models, stored_report).  A report is evaluated on
     its recorded manifest unless one is given, whose fingerprint must match.
     """
     if target.suffix == ".npz":
-        models = [load_params(target)]
+        models = [(target, load_params(target))]
         if manifest_path is None:
             raise ValueError("--manifest (or --data) required when evaluating "
                              "a parameter archive")
@@ -375,8 +352,8 @@ def _load_system(target: Path, manifest_path: Path | None):
     if fingerprint != report.fingerprint:
         raise ValueError(f"manifest {manifest_path} fingerprint {fingerprint[:12]} "
                          f"does not match report {report.fingerprint[:12]}")
-    models = [load_params(target.parent / s.params_path) for s in report.seeds]
-    return manifest_path, models, report
+    paths = [target.parent / s.params_path for s in report.seeds]
+    return manifest_path, [(p, load_params(p)) for p in paths], report
 
 
 def cmd_eval(args) -> int:
@@ -388,8 +365,21 @@ def cmd_eval(args) -> int:
 
     manifest_path, models, stored = _load_system(Path(args.target), manifest_path)
     samples = _load_samples(manifest_path, args.split)[args.split]
+    other_models = []
+    if args.compare:
+        # system B is predicted on A's samples, so both cover the same slides
+        _, other_models, _ = _load_system(Path(args.compare), manifest_path)
+        if len(other_models) != len(models):
+            raise ValueError(f"compared runs have different seed counts "
+                             f"({len(models)} vs {len(other_models)})")
+    bag = samples[0].bag  # _load_samples checked that all bags share one dim
+    for path, (_, mc) in models + other_models:
+        if mc.input_dim != bag.d:
+            raise ValueError(f"{path} has model input dim {mc.input_dim}, but "
+                             f"slide {bag.slide_id} in {manifest_path} has "
+                             f"feature dim {bag.d}")
     y_true = np.array([s.label for s in samples], dtype=np.int64)
-    preds = [predict_classes(params, mc, samples) for params, mc in models]
+    preds = [predict_classes(params, mc, samples) for _, (params, mc) in models]
 
     per_seed_ms = [confusion(y_true, p) for p in preds]
     mean_ba = float(np.mean([balanced_accuracy(m) for m in per_seed_ms]))
@@ -414,13 +404,8 @@ def cmd_eval(args) -> int:
 
     p_value = None
     if args.compare:
-        # system B is predicted on A's samples, so both cover the same slides
-        _, other_models, _ = _load_system(Path(args.compare), manifest_path)
-        if len(other_models) != len(preds):
-            raise ValueError(f"compared runs have different seed counts "
-                             f"({len(preds)} vs {len(other_models)})")
         other_preds = [predict_classes(params, mc, samples)
-                       for params, mc in other_models]
+                       for _, (params, mc) in other_models]
         correct_a = np.concatenate([(p == y_true).astype(float) for p in preds])
         correct_b = np.concatenate([(p == y_true).astype(float)
                                     for p in other_preds])

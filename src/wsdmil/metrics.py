@@ -185,12 +185,10 @@ def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
     metric.  Resamples where the metric is undefined (raises ValueError or
     ZeroDivisionError) are skipped and counted, with a warning past 1%.
 
-    A numpy array is resampled along its first axis and handed to the metric
-    as an array; any other sequence is handed over as a list of records.
+    The records are converted once with ``np.asarray``, resampled along the
+    first axis and handed to the metric as an array.
     """
-    is_array = isinstance(records, np.ndarray)
-    if not is_array:
-        records = list(records)
+    records = np.asarray(records)
     if len(records) == 0:
         raise ValueError("bootstrap needs at least one record")
     if n_resamples < 1:
@@ -204,9 +202,8 @@ def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
     skipped = 0
     for _ in range(n_resamples):
         idx = rng.integers(0, n, size=n)
-        sample = records[idx] if is_array else [records[j] for j in idx]
         try:
-            stats.append(float(metric(sample)))
+            stats.append(float(metric(records[idx])))
         except (ValueError, ZeroDivisionError):
             skipped += 1
     if not stats:

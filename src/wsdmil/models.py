@@ -62,14 +62,12 @@ class BagOutput:
     """Forward-pass result for one bag.
 
     class_logits and wsd_prediction stay attached to the graph for loss
-    backprop; attention and bag_embedding are detached copies.  The feature
-    leaf requires no gradient, so only nodes computed from parameters get
-    one.
+    backprop; attention is a detached copy.  The feature leaf requires no
+    gradient, so only nodes computed from parameters get one.
     """
 
     class_logits: Tensor
     attention: np.ndarray
-    bag_embedding: np.ndarray
     wsd_prediction: Tensor | None = None
 
     def predicted_class(self) -> int:
@@ -152,7 +150,6 @@ def forward_maxmil(params: dict[str, Tensor], features: np.ndarray) -> BagOutput
     scores = inst_logits.data.max(axis=1)
     return BagOutput(class_logits=logits,
                      attention=_minmax(scores),
-                     bag_embedding=pooled.data[0].copy(),
                      wsd_prediction=_regress(params, pooled))
 
 
@@ -171,7 +168,6 @@ def forward_abmil(params: dict[str, Tensor], features: np.ndarray,
     logits = z @ params["cls.w"] + params["cls.b"]                # (1, 4)
     return BagOutput(class_logits=logits,
                      attention=attn.data[0].copy(),
-                     bag_embedding=z.data[0].copy(),
                      wsd_prediction=_regress(params, z))
 
 
@@ -208,7 +204,6 @@ def forward_dsmil(params: dict[str, Tensor], features: np.ndarray) -> BagOutput:
     pooled = bag_embed.mean_rows()                                # (1, H)
     return BagOutput(class_logits=logits,
                      attention=attn_rows[predicted].data[0].copy(),
-                     bag_embedding=pooled.data[0].copy(),
                      wsd_prediction=_regress(params, pooled))
 
 

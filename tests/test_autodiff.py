@@ -186,6 +186,20 @@ def test_gradients_accumulate_across_backward_calls():
     assert_allclose(x.grad, [[2.0, 2.0]])
 
 
+@pytest.mark.parametrize("op", [lambda x: x + x, lambda x: concat_rows([x, x])],
+                         ids=["add", "concat_rows"])
+def test_operand_used_twice_receives_both_shares(op):
+    x = Tensor([[1.0, -2.0, 0.5]])
+    op(x).sum().backward()
+    assert x.grad.tolist() == [[2.0, 2.0, 2.0]]
+
+
+def test_take_rows_repeated_indices_scatter_exact_counts():
+    x = Tensor(np.zeros((4, 3)))
+    take_rows(x, [2, 0, 2, 3, 2]).sum().backward()
+    assert x.grad.tolist() == [[1.0] * 3, [0.0] * 3, [3.0] * 3, [1.0] * 3]
+
+
 def test_cross_entropy_rejects_bad_label_and_shape():
     with pytest.raises(ValueError):
         cross_entropy(Tensor(np.zeros((1, 4))), 4)

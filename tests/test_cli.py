@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from wsdmil import cli
 from wsdmil.bags import Bag, write_bag
 from wsdmil.cli import DATA_ROOT_ENV, main
 from wsdmil.reports import load_params, read_report
@@ -261,6 +262,33 @@ def test_eval_detects_manifest_drift(baseline_run, dataset, tmp_path, capsys):
     edited.write_bytes((dataset / "manifest.tsv").read_bytes() + b"# note\n")
     assert main(["eval", str(baseline_run), "--manifest", str(edited)]) == 3
     assert "fingerprint" in capsys.readouterr().err
+
+
+def test_eval_rejects_model_of_other_input_dim_before_predicting(tmp_path,
+                                                                  monkeypatch,
+                                                                  capsys):
+    archives, manifests = {}, {}
+    for dim in (8, 6):
+        data = tmp_path / f"d{dim}"
+        assert main(["gen-synthetic", "--out", str(data), "--splits", "8,4,4",
+                     "--dim", str(dim), "--size-factor", "0.02",
+                     "--seed", "5"]) == 0
+        assert main(["train", "--data", str(data),
+                     "--out", str(tmp_path / f"r{dim}.report")]
+                    + FAST_TRAIN + ["--epochs", "1", "--seeds", "1"]) == 0
+        archives[dim] = tmp_path / f"r{dim}_params_seed1.npz"
+        manifests[dim] = data / "manifest.tsv"
+    monkeypatch.setattr(cli, "predict_classes", None)  # a prediction would fail
+    capsys.readouterr()
+    assert main(["eval", str(archives[8]), "--manifest", str(manifests[6])]) == 3
+    err = capsys.readouterr().err
+    assert f"{archives[8]} has model input dim 8, but slide " in err
+    assert f"in {manifests[6]} has feature dim 6" in err
+    assert main(["eval", str(archives[8]), "--manifest", str(manifests[8]),
+                 "--compare", str(archives[6])]) == 3
+    err = capsys.readouterr().err
+    assert f"{archives[6]} has model input dim 6, but slide " in err
+    assert f"in {manifests[8]} has feature dim 8" in err
 
 
 # Statistics recorded before the permutation test and the bootstrap were

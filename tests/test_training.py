@@ -1,5 +1,6 @@
 """Objectives, Adam, the training loop, and grid search."""
 
+import gc
 import math
 from dataclasses import replace
 
@@ -38,7 +39,6 @@ HEAVY = WeightTriple(4.0, 3.0, 1.0)
 def output_with(logits, wsd=None):
     return BagOutput(class_logits=Tensor(np.array([logits], dtype=np.float64)),
                      attention=np.ones(1),
-                     bag_embedding=np.zeros(3),
                      wsd_prediction=None if wsd is None
                      else Tensor(np.array([[wsd]], dtype=np.float64)))
 
@@ -365,6 +365,25 @@ def test_predict_classes_matches_forward_on_live_parameters(dataset, head):
     live = [forward_bag(params, mc, s.bag).predicted_class()
             for s in dataset["val"]]
     assert predict_classes(params, mc, dataset["val"]).tolist() == live
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_training_step_and_prediction_leave_no_cyclic_garbage(dataset, head):
+    mc = tiny_model(dataset["dim"], head=head, reg=True)
+    params = init_model(mc)
+    state = init_adam(params)
+    sample = dataset["train"][0]
+    gc.collect()
+    gc.disable()
+    try:
+        bag_loss(forward_bag(params, mc, sample.bag), sample,
+                 TrainConfig(method="multitask")).backward()
+        adam_step(state, params, 1e-3)
+        predict_classes(params, mc, dataset["val"])
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 # ---- grid search ------------------------------------------------------------------
