@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bags import (BagFormatError, generate_synthetic, read_bag, read_manifest,
-                   split_bags, CALIBRATION_TARGETS, SynthConfig)
+from .bags import (generate_synthetic, read_bag, read_manifest, split_bags,
+                   CALIBRATION_TARGETS, SynthConfig)
 from .gleason import (ConsensusLevel, WeightTriple, class_of, consensus_level)
 from .metrics import (balanced_accuracy, bootstrap_ci, confusion,
                       paired_permutation_test, per_class_accuracy, weighted_f1)
@@ -166,15 +166,6 @@ def cmd_consensus_stats(args) -> int:
 # ---- train ------------------------------------------------------------------------
 
 
-def _train_one_seed(model_config, train_config, seed, samples):
-    mc = replace(model_config, init_seed=seed)
-    tc = replace(train_config, seed=seed)
-    result = train(mc, tc, samples["train"], samples["val"])
-    y_true = np.array([s.label for s in samples["test"]], dtype=np.int64)
-    y_pred = predict_classes(result.params, mc, samples["test"])
-    return mc, result, y_true, y_pred
-
-
 def _seed_mean_ci(y_true, preds_per_seed, metric_fn, n_resamples, seed):
     """Bootstrap CI of the seed-mean metric; a resampled slide keeps its
     label and every seed's prediction for it."""
@@ -186,6 +177,19 @@ def _seed_mean_ci(y_true, preds_per_seed, metric_fn, n_resamples, seed):
                               for si in range(1, sample.shape[1])]))
 
     return bootstrap_ci(records, metric, n_resamples=n_resamples, seed=seed)
+
+
+def _score(models, samples, n_resamples, stats_seed):
+    """Labels, per-seed predictions and confusions, and the seed-mean CIs
+    of balanced accuracy and weighted F1 (whose points are the seed means)
+    of (params, config) pairs on one split; both train and eval use it."""
+    y_true = np.array([s.label for s in samples], dtype=np.int64)
+    preds = [predict_classes(params, mc, samples) for params, mc in models]
+    confusions = [confusion(y_true, p) for p in preds]
+    ci_ba = _seed_mean_ci(y_true, preds, balanced_accuracy, n_resamples,
+                          stats_seed)
+    ci_f1 = _seed_mean_ci(y_true, preds, weighted_f1, n_resamples, stats_seed)
+    return y_true, preds, confusions, ci_ba, ci_f1
 
 
 def cmd_train(args) -> int:
@@ -211,15 +215,16 @@ def cmd_train(args) -> int:
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    configs = [replace(model_config, init_seed=seed) for seed in seeds]
+    results = [train(mc, replace(train_config, seed=mc.init_seed),
+                     samples["train"], samples["val"]) for mc in configs]
+    _, _, confusions, ci_ba, ci_f1 = _score(
+        [(r.params, mc) for r, mc in zip(results, configs)], samples["test"],
+        args.bootstrap, args.stats_seed)
     seed_results = []
-    preds_per_seed = []
-    y_true = None
-    for seed in seeds:
-        mc, result, y_true, y_pred = _train_one_seed(
-            model_config, train_config, seed, samples)
+    for seed, mc, result, m in zip(seeds, configs, results, confusions):
         params_name = f"{out_path.stem}_params_seed{seed}.npz"
         save_params(result.params, mc, out_path.parent / params_name)
-        m = confusion(y_true, y_pred)
         seed_results.append(SeedResult(
             seed=seed,
             balanced_accuracy=balanced_accuracy(m),
@@ -229,15 +234,10 @@ def cmd_train(args) -> int:
             params_path=params_name,
             history=[(h.epoch, h.train_loss, h.val_balanced_accuracy)
                      for h in result.history]))
-        preds_per_seed.append(y_pred)
         print(f"seed {seed}: test balanced accuracy "
               f"{format_score(seed_results[-1].balanced_accuracy)}, "
               f"best epoch {result.best_epoch}")
 
-    ci_ba = _seed_mean_ci(y_true, preds_per_seed, balanced_accuracy,
-                          args.bootstrap, args.stats_seed)
-    ci_f1 = _seed_mean_ci(y_true, preds_per_seed, weighted_f1,
-                          args.bootstrap, args.stats_seed)
     report = RunReport(
         config={
             "method": args.method,
@@ -256,9 +256,8 @@ def cmd_train(args) -> int:
         manifest=str(manifest_path.resolve()),
         fingerprint=manifest_fingerprint(manifest_path),
         seeds=seed_results,
-        mean_balanced_accuracy=float(np.mean(
-            [s.balanced_accuracy for s in seed_results])),
-        mean_weighted_f1=float(np.mean([s.weighted_f1 for s in seed_results])),
+        mean_balanced_accuracy=ci_ba.point,
+        mean_weighted_f1=ci_f1.point,
         ci_balanced_accuracy=ci_ba.offsets(),
         ci_weighted_f1=ci_f1.offsets())
     write_report(report, out_path)
@@ -378,17 +377,13 @@ def cmd_eval(args) -> int:
             raise ValueError(f"{path} has model input dim {mc.input_dim}, but "
                              f"slide {bag.slide_id} in {manifest_path} has "
                              f"feature dim {bag.d}")
-    y_true = np.array([s.label for s in samples], dtype=np.int64)
-    preds = [predict_classes(params, mc, samples) for _, (params, mc) in models]
-
-    per_seed_ms = [confusion(y_true, p) for p in preds]
-    mean_ba = float(np.mean([balanced_accuracy(m) for m in per_seed_ms]))
-    mean_f1 = float(np.mean([weighted_f1(m) for m in per_seed_ms]))
+    y_true, preds, per_seed_ms, ci_ba, ci_f1 = _score(
+        [model for _, model in models], samples, args.bootstrap, args.stats_seed)
 
     # stored per-seed numbers are test metrics, so only cross-check on test
     if stored is not None and args.split == "test":
-        recomputed = [balanced_accuracy(m) for m in per_seed_ms]
-        for seed_result, value in zip(stored.seeds, recomputed):
+        for seed_result, m in zip(stored.seeds, per_seed_ms):
+            value = balanced_accuracy(m)
             if value != seed_result.balanced_accuracy:
                 raise ValueError(
                     f"seed {seed_result.seed}: recomputed balanced accuracy "
@@ -397,19 +392,13 @@ def cmd_eval(args) -> int:
         print(f"report metrics reproduced for seeds "
               f"{','.join(str(s.seed) for s in stored.seeds)}")
 
-    ci_ba = _seed_mean_ci(y_true, preds, balanced_accuracy,
-                          args.bootstrap, args.stats_seed)
-    ci_f1 = _seed_mean_ci(y_true, preds, weighted_f1,
-                          args.bootstrap, args.stats_seed)
-
     p_value = None
     if args.compare:
         other_preds = [predict_classes(params, mc, samples)
                        for _, (params, mc) in other_models]
-        correct_a = np.concatenate([(p == y_true).astype(float) for p in preds])
-        correct_b = np.concatenate([(p == y_true).astype(float)
-                                    for p in other_preds])
         tiled_true = np.concatenate([y_true] * len(preds))
+        correct_a = (np.concatenate(preds) == tiled_true).astype(float)
+        correct_b = (np.concatenate(other_preds) == tiled_true).astype(float)
         p_value = paired_permutation_test(correct_a, correct_b, tiled_true,
                                           statistic=args.statistic,
                                           n_permutations=args.permutations,
@@ -418,10 +407,9 @@ def cmd_eval(args) -> int:
     print(f"slides: {len(samples)} ({args.split}); seeds: {len(preds)}")
     starred = p_value is not None and p_value < 0.05
     print(f"balanced accuracy: "
-          f"{format_score(mean_ba, ci_ba.offsets(), starred)}")
-    print(f"weighted F1:       {format_score(mean_f1, ci_f1.offsets())}")
-    pooled = confusion(np.concatenate([y_true] * len(preds)),
-                       np.concatenate(preds))
+          f"{format_score(ci_ba.point, ci_ba.offsets(), starred)}")
+    print(f"weighted F1:       {format_score(ci_f1.point, ci_f1.offsets())}")
+    pooled = sum(per_seed_ms)
     print("per-class accuracy (pooled over seeds):")
     for name, value in zip(CLASS_DISPLAY, per_class_accuracy(pooled)):
         text = "absent" if value is None else f"{value * 100:.1f}%"
@@ -548,8 +536,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (BagFormatError, FileNotFoundError, IsADirectoryError,
-            KeyError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # BagFormatError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -27,6 +27,7 @@ __all__ = [
     "N_CLASSES",
     "ModelConfig",
     "BagOutput",
+    "param_shapes",
     "init_model",
     "forward_bag",
     "forward_maxmil",
@@ -74,7 +75,8 @@ class BagOutput:
         return int(np.argmax(self.class_logits.data[0]))
 
 
-def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Name and shape of every parameter init_model builds for ``config``."""
     d, h, l = config.input_dim, config.hidden_dim, config.attention_dim
     if config.head_kind == "maxmil":
         shapes = {"embed.w": (d, h), "embed.b": (1, h),
@@ -103,7 +105,7 @@ def init_model(config: ModelConfig) -> dict[str, Tensor]:
     so enabling the regression head never shifts the other weights.
     """
     params: dict[str, Tensor] = {}
-    for name, shape in _param_shapes(config).items():
+    for name, shape in param_shapes(config).items():
         if name.endswith(".b"):
             data = np.zeros(shape)
         else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .models import ModelConfig
+from .models import ModelConfig, param_shapes
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -66,14 +67,31 @@ def save_params(params: dict[str, Tensor], config: ModelConfig, path) -> None:
 
 
 def load_params(path) -> tuple[dict[str, Tensor], ModelConfig]:
-    with np.load(path) as archive:
-        if "__model_config__" not in archive:
-            raise ValueError(f"{path} is not a parameter archive "
-                             f"(missing model config)")
-        config = ModelConfig(**json.loads(str(archive["__model_config__"])))
-        params = {name: Tensor(archive[name], name=name)
-                  for name in archive.files if name != "__model_config__"}
-    return params, config
+    """Read an archive written by save_params.
+
+    An unreadable archive, a bad model config, or parameters whose names or
+    shapes differ from what init_model builds for that config raise one
+    ValueError naming the archive.
+    """
+    try:
+        with np.load(path) as archive:
+            if "__model_config__" not in archive:
+                raise ValueError("missing model config")
+            config = ModelConfig(**json.loads(str(archive["__model_config__"])))
+            arrays = {name: archive[name]
+                      for name in archive.files if name != "__model_config__"}
+    except (zipfile.BadZipFile, EOFError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} is not a valid parameter archive ({exc})") from exc
+    expected = param_shapes(config)
+    problems = [f"missing {name}" for name in expected if name not in arrays]
+    problems += [f"unexpected {name}" for name in arrays if name not in expected]
+    problems += [f"{name} has shape {arrays[name].shape}, expected {shape}"
+                 for name, shape in expected.items()
+                 if name in arrays and arrays[name].shape != shape]
+    if problems:
+        raise ValueError(f"{path} does not match its {config.head_kind} model "
+                         f"config: {'; '.join(problems)}")
+    return {name: Tensor(a, name=name) for name, a in arrays.items()}, config
 
 
 # ---- run reports ------------------------------------------------------------------
@@ -103,7 +121,6 @@ class RunReport:
     ci_balanced_accuracy: tuple[float, float] | None = None
     ci_weighted_f1: tuple[float, float] | None = None
     created: str = ""
-    schema: str = REPORT_SCHEMA
 
     def display_line(self) -> str:
         return format_score(self.mean_balanced_accuracy,
@@ -118,9 +135,14 @@ def _parse_per_class(text: str) -> list[float | None]:
     return [None if tok == "-" else float(tok) for tok in text.split(",")]
 
 
+def _key_value(line: str) -> tuple[str, str]:
+    key, _, value = line.partition(":")
+    return key.strip(), value.strip()
+
+
 def write_report(report: RunReport, path) -> None:
     """Serialize to the line-oriented report format (full float precision)."""
-    lines = [f"schema: {report.schema}",
+    lines = [f"schema: {REPORT_SCHEMA}",
              f"created: {report.created or _now()}",
              "",
              "[config]"]
@@ -154,60 +176,44 @@ def _now() -> str:
 
 
 def read_report(path) -> RunReport:
-    """Parse a report written by write_report."""
-    section = ""
-    top: dict[str, str] = {}
-    config: dict[str, str] = {}
-    data: dict[str, str] = {}
-    mean: dict[str, str] = {}
-    seed_blocks: dict[int, dict[str, str]] = {}
-    histories: dict[int, list[tuple[int, float, float]]] = {}
-    seed_order: list[int] = []
+    """Parse a report written by write_report.
 
+    One pass reads the file into ``{section: lines}``, where section "" is
+    the header, and the report is built from that.  A missing key raises a
+    ValueError naming the report and the section.
+    """
+    sections: dict[str, list[str]] = {"": []}
+    body = sections[""]
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]
-            if section.startswith("seed "):
-                seed = int(section.split()[1])
-                seed_order.append(seed)
-                seed_blocks[seed] = {}
-            elif section.startswith("history "):
-                histories[int(section.split()[1])] = []
-            continue
-        if section.startswith("history "):
-            epoch, train_loss, val_ba = line.split()
-            histories[int(section.split()[1])].append(
-                (int(epoch), float(train_loss), float(val_ba)))
-            continue
-        key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
-        if section == "":
-            top[key] = value
-        elif section == "config":
-            config[key] = value
-        elif section == "data":
-            data[key] = value
-        elif section == "mean":
-            mean[key] = value
-        elif section.startswith("seed "):
-            seed_blocks[int(section.split()[1])][key] = value
+            body = sections.setdefault(line[1:-1], [])
+        elif line:
+            body.append(line)
+    fields = {name: dict(_key_value(line) for line in lines)
+              for name, lines in sections.items()}
 
-    if top.get("schema") != REPORT_SCHEMA:
-        raise ValueError(f"{path}: unsupported report schema {top.get('schema')!r}")
+    def get(name: str, key: str, parse=str):
+        if key not in fields.get(name, {}):
+            raise ValueError(f"{path}: [{name}] has no {key!r}")
+        return parse(fields[name][key])
+
+    header, mean = fields[""], fields.get("mean", {})
+    if header.get("schema") != REPORT_SCHEMA:
+        raise ValueError(f"{path}: unsupported report schema "
+                         f"{header.get('schema')!r}")
     seeds = []
-    for seed in seed_order:
-        block = seed_blocks[seed]
+    for name in (n for n in sections if n.startswith("seed ")):
+        seed = int(name.split()[1])
+        history = [line.split() for line in sections.get(f"history {seed}", [])]
         seeds.append(SeedResult(
             seed=seed,
-            balanced_accuracy=float(block["balanced_accuracy"]),
-            weighted_f1=float(block["weighted_f1"]),
-            per_class=_parse_per_class(block["per_class"]),
-            best_epoch=int(block["best_epoch"]),
-            params_path=block["params"],
-            history=histories.get(seed, [])))
+            balanced_accuracy=get(name, "balanced_accuracy", float),
+            weighted_f1=get(name, "weighted_f1", float),
+            per_class=get(name, "per_class", _parse_per_class),
+            best_epoch=get(name, "best_epoch", int),
+            params_path=get(name, "params"),
+            history=[(int(e), float(tl), float(vb)) for e, tl, vb in history]))
 
     def _ci(key):
         if key not in mean:
@@ -216,16 +222,15 @@ def read_report(path) -> RunReport:
         return (float(lo), float(hi))
 
     return RunReport(
-        config=config,
-        manifest=data["manifest"],
-        fingerprint=data["fingerprint"],
+        config=fields.get("config", {}),
+        manifest=get("data", "manifest"),
+        fingerprint=get("data", "fingerprint"),
         seeds=seeds,
-        mean_balanced_accuracy=float(mean["balanced_accuracy"]),
-        mean_weighted_f1=float(mean["weighted_f1"]),
+        mean_balanced_accuracy=get("mean", "balanced_accuracy", float),
+        mean_weighted_f1=get("mean", "weighted_f1", float),
         ci_balanced_accuracy=_ci("ci_balanced_accuracy"),
         ci_weighted_f1=_ci("ci_weighted_f1"),
-        created=top.get("created", ""),
-        schema=top["schema"])
+        created=header.get("created", ""))
 
 
 # ---- heatmaps ---------------------------------------------------------------------

@@ -77,6 +77,8 @@ class TrainConfig:
                              f"expected one of {METHODS}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
+        if self.method != "multitask" and (self.alpha, self.beta) != (1.0, 1.0):
+            raise ValueError(f"{self.method} method takes no alpha or beta")
         if self.method == "weighted" and self.weights is None:
             raise ValueError("weighted method needs a weight triple")
         if self.method != "weighted" and self.weights is not None:
@@ -196,7 +198,11 @@ class TrainResult:
     params: dict[str, Tensor]
     history: list[EpochStats]
     best_epoch: int
-    best_val_balanced_accuracy: float
+    best_val_confusion: np.ndarray
+
+    @property
+    def best_val_balanced_accuracy(self) -> float:
+        return balanced_accuracy(self.best_val_confusion)
 
 
 def predict_classes(params: dict[str, Tensor], model_config: ModelConfig,
@@ -211,12 +217,6 @@ def predict_classes(params: dict[str, Tensor], model_config: ModelConfig,
               for k, p in params.items()}
     return np.array([forward_bag(frozen, model_config, s.bag).predicted_class()
                      for s in samples], dtype=np.int64)
-
-
-def _val_balanced_accuracy(params, model_config, samples) -> float:
-    y_true = np.array([s.label for s in samples], dtype=np.int64)
-    y_pred = predict_classes(params, model_config, samples)
-    return balanced_accuracy(confusion(y_true, y_pred))
 
 
 def train(model_config: ModelConfig, config: TrainConfig,
@@ -239,6 +239,7 @@ def train(model_config: ModelConfig, config: TrainConfig,
 
     params = init_model(model_config)
     state = init_adam(params)
+    y_val = np.array([s.label for s in val_samples], dtype=np.int64)
     history: list[EpochStats] = []
     best_score = -1.0
     best_epoch = -1
@@ -265,17 +266,19 @@ def train(model_config: ModelConfig, config: TrainConfig,
                 raise NumericError(f"epoch {epoch}, slide "
                                    f"{sample.bag.slide_id}: {exc}") from exc
             total += value
-        val_score = _val_balanced_accuracy(params, model_config, val_samples)
+        val_confusion = confusion(
+            y_val, predict_classes(params, model_config, val_samples))
+        val_score = balanced_accuracy(val_confusion)
         history.append(EpochStats(epoch, total / len(train_samples), val_score))
         if val_score > best_score:
             best_score = val_score
             best_epoch = epoch
+            best_confusion = val_confusion
             best_snapshot = {k: p.data.copy() for k, p in params.items()}
 
     best_params = {k: Tensor(v, name=k) for k, v in best_snapshot.items()}
     return TrainResult(params=best_params, history=history,
-                       best_epoch=best_epoch,
-                       best_val_balanced_accuracy=best_score)
+                       best_epoch=best_epoch, best_val_confusion=best_confusion)
 
 
 # ---- grid search ------------------------------------------------------------------
@@ -308,7 +311,6 @@ def grid_search(model_config: ModelConfig, configs: list[TrainConfig],
     """
     if not configs:
         raise ValueError("grid is empty")
-    y_val = np.array([s.label for s in val_samples], dtype=np.int64)
     rows = []
     for tc in configs:
         per_seed = []
@@ -321,8 +323,7 @@ def grid_search(model_config: ModelConfig, configs: list[TrainConfig],
                                train_samples, val_samples)
             except NumericError as exc:
                 raise NumericError(f"grid point {tc}: {exc}") from exc
-            y_pred = predict_classes(result.params, mc, val_samples)
-            m = confusion(y_val, y_pred)
+            m = result.best_val_confusion  # train scored these params on val
             per_seed.append((balanced_accuracy(m), weighted_f1(m)))
         rows.append(GridRow(
             per_seed=per_seed,

@@ -1,10 +1,13 @@
-"""The benchmark tracer's patch targets must exist.
+"""The benchmark tracer's patch targets must exist and be called.
 
 ``benchmarks/tracer.py`` wraps functions in the namespace that calls them.
-If a call site moves, the wrapper would silently find nothing to patch and
-the per-layer figures would read zero, so every target is resolved here.
+If a call site moves, the wrapper would silently find nothing to patch, or
+patch a name nothing calls, and the per-layer figures would read zero.  So
+every target is resolved here, and every module-level name is checked to
+be called inside the module it is patched in.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -32,3 +35,16 @@ def test_every_tracer_patch_target_resolves():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_every_undotted_tracer_patch_target_is_called_in_its_module():
+    uncalled = []
+    for module_name, attr, _ in load_patches():
+        if "." in attr:
+            continue
+        source = Path(importlib.import_module(module_name).__file__).read_text()
+        called = {node.func.id for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        if attr not in called:
+            uncalled.append(f"{module_name}.{attr}")
+    assert uncalled == []

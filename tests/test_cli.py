@@ -1,5 +1,6 @@
 """End-to-end command-line tests: every subcommand plus the exit-code map."""
 
+import json
 import os
 
 import numpy as np
@@ -125,6 +126,7 @@ def test_train_usage_errors(dataset, tmp_path):
     assert main(base + ["--method", "weighted"]) == 2  # weights missing
     assert main(base + ["--method", "baseline", "--weights", "4,3,1"]) == 2
     assert main(base + ["--method", "multitask", "--weights", "4,3,1"]) == 2
+    assert main(base + ["--method", "baseline", "--beta", "7"]) == 2
     assert main(base + ["--method", "weighted", "--weights", "1,1,1"]) == 2
     assert main(base + ["--method", "weighted", "--weights", "4,3"]) == 2
     assert main(base + ["--seeds", ""]) == 2
@@ -262,6 +264,63 @@ def test_eval_detects_manifest_drift(baseline_run, dataset, tmp_path, capsys):
     edited.write_bytes((dataset / "manifest.tsv").read_bytes() + b"# note\n")
     assert main(["eval", str(baseline_run), "--manifest", str(edited)]) == 3
     assert "fingerprint" in capsys.readouterr().err
+
+
+def test_eval_report_missing_key_is_data_error(baseline_run, tmp_path, capsys):
+    report = tmp_path / "base.report"
+    report.write_text("".join(
+        line for line in baseline_run.read_text().splitlines(keepends=True)
+        if not line.startswith("weighted_f1:")))
+    for seed in (1, 2):
+        archive = f"base_params_seed{seed}.npz"
+        (tmp_path / archive).write_bytes((baseline_run.parent / archive).read_bytes())
+    assert main(["eval", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert f"{report}: [seed 1] has no 'weighted_f1'" in err
+
+
+def _rewrite(source, archive, **changes):
+    """Copy a params archive with some arrays replaced; None drops one."""
+    with np.load(source) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays.update(changes)
+    np.savez(archive, **{k: v for k, v in arrays.items() if v is not None})
+
+
+def _truncated(source, archive):
+    archive.write_bytes(source.read_bytes()[:source.stat().st_size // 2])
+
+
+def _config_with_unknown_key(source, archive):
+    with np.load(source) as data:
+        config = json.loads(str(data["__model_config__"]))
+    _rewrite(source, archive, __model_config__=np.array(json.dumps(
+        {**config, "depth": 3})))
+
+
+def _without_cls_bias(source, archive):
+    _rewrite(source, archive, **{"cls.b": None})
+
+
+def _cls_bias_of_wrong_shape(source, archive):
+    _rewrite(source, archive, **{"cls.b": np.zeros((1, 8))})
+
+
+@pytest.mark.parametrize("corrupt", [_truncated, _config_with_unknown_key,
+                                     _without_cls_bias, _cls_bias_of_wrong_shape])
+def test_malformed_params_archive_is_data_error(corrupt, baseline_run, dataset,
+                                                tmp_path, capsys):
+    archive = tmp_path / "bad.npz"
+    corrupt(baseline_run.parent / "base_params_seed1.npz", archive)
+    bag = sorted((dataset / "bags").glob("*.bag"))[0]
+    capsys.readouterr()
+    assert main(["eval", str(archive), "--manifest",
+                 str(dataset / "manifest.tsv")]) == 3
+    assert main(["attn-map", "--params", str(archive), "--bag", str(bag),
+                 "--out-prefix", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith(f"data error: {archive} ") for line in err)
 
 
 def test_eval_rejects_model_of_other_input_dim_before_predicting(tmp_path,

@@ -116,6 +116,21 @@ def test_report_optional_fields_default_to_none(tmp_path):
     assert back.ci_weighted_f1 is None
 
 
+@pytest.mark.parametrize("section, key", [("data", "manifest"),
+                                          ("seed 37", "best_epoch"),
+                                          ("mean", "weighted_f1")])
+def test_report_missing_key_names_report_and_section(tmp_path, section, key):
+    path = tmp_path / "partial.report"
+    write_report(sample_report(), path)
+    lines = path.read_text().splitlines(keepends=True)
+    start = lines.index(f"[{section}]\n")
+    cut = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key}:"))
+    path.write_text("".join(lines[:cut] + lines[cut + 1:]))
+    with pytest.raises(ValueError) as info:
+        read_report(path)
+    assert str(info.value) == f"{path}: [{section}] has no {key!r}"
+
+
 def test_report_schema_is_checked(tmp_path):
     path = tmp_path / "old.report"
     path.write_text("schema: wsdmil-report/0\ncreated: x\n")

@@ -209,6 +209,8 @@ def test_train_config_validation():
             TrainConfig(method=method, weights=HEAVY)
     with pytest.raises(ValueError, match=">= 0"):
         TrainConfig(alpha=-1.0)
+    with pytest.raises(ValueError, match="baseline method takes no alpha or beta"):
+        TrainConfig(beta=7.0)
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="learning_rate"):
@@ -428,6 +430,31 @@ def test_weighted_grid_applies_each_triple(dataset):
         m = confusion(y_val, predict_classes(params, mc_seed, dataset["val"]))
         direct.append((balanced_accuracy(m), weighted_f1(m)))
     assert res.rows[1].per_seed == direct
+
+
+def test_grid_search_predicts_validation_once_per_epoch(dataset, monkeypatch):
+    calls = []
+
+    def counting_predict(*args):
+        calls.append(args)
+        return predict_classes(*args)
+
+    monkeypatch.setattr(training, "predict_classes", counting_predict)
+    configs = [TrainConfig(epochs=3), TrainConfig(method="weighted",
+                                                  weights=HEAVY, epochs=3)]
+    grid_search(tiny_model(dataset["dim"]), configs, dataset["train"],
+                dataset["val"], seeds=(1, 2))
+    assert len(calls) == 3 * 2 * 2
+    assert all(samples is dataset["val"] for _, _, samples in calls)
+
+
+def test_best_val_confusion_is_the_best_epochs_scores(dataset):
+    mc = tiny_model(dataset["dim"])
+    r = train(mc, TrainConfig(epochs=3, seed=2), dataset["train"], dataset["val"])
+    y_val = np.array([s.label for s in dataset["val"]], dtype=np.int64)
+    m = confusion(y_val, predict_classes(r.params, mc, dataset["val"]))
+    assert np.array_equal(r.best_val_confusion, m)
+    assert r.best_val_balanced_accuracy == r.history[r.best_epoch].val_balanced_accuracy
 
 
 def test_grid_search_tie_prefers_earlier_row(dataset):
