@@ -160,10 +160,13 @@ def read_manifest(path) -> list[ManifestEntry]:
     Columns: slide_id, bag_path, expert score, non-expert score or "-",
     split (train/val/test).  Blank lines and lines starting with "#" are
     skipped.  Duplicate slide ids and train rows without a non-expert
-    score are rejected.
+    score are rejected.  Bag paths are absolute: each distinct bag directory
+    is resolved once and the file name joined to it, so a symlinked bag file
+    is kept as named, not followed.
     """
     path = Path(path)
     base = path.parent
+    dirs: dict[Path, Path] = {}      # bag directory as written -> resolved
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -188,7 +191,11 @@ def read_manifest(path) -> list[ManifestEntry]:
         if split == "train" and nonexpert is None:
             raise ValueError(f"{path}:{lineno}: train slide {slide_id!r} "
                              f"lacks a non-expert score")
-        entries.append(ManifestEntry(slide_id, (base / bag_rel).resolve(),
+        bag_path = base / bag_rel
+        folder = dirs.get(bag_path.parent)
+        if folder is None:
+            folder = dirs[bag_path.parent] = bag_path.parent.resolve()
+        entries.append(ManifestEntry(slide_id, folder / bag_path.name,
                                      expert, nonexpert, split))
     if not entries:
         warnings.warn(f"manifest {path} contains no entries")

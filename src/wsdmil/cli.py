@@ -168,13 +168,19 @@ def cmd_consensus_stats(args) -> int:
 
 def _seed_mean_ci(y_true, preds_per_seed, metric_fn, n_resamples, seed):
     """Bootstrap CI of the seed-mean metric; a resampled slide keeps its
-    label and every seed's prediction for it."""
-    records = np.column_stack([y_true, *preds_per_seed]).astype(np.int64)
+    label and every seed's prediction for it.
+
+    A slide's record holds its confusion cell ``4 * label + prediction`` for
+    each seed, offset by 16 per seed, so one bincount of a resample gives
+    every seed's confusion matrix.  Labels and predictions must lie in 0..3.
+    """
+    seeds = len(preds_per_seed)
+    records = (4 * np.asarray(y_true, dtype=np.int64)[:, None]
+               + np.column_stack(preds_per_seed) + 16 * np.arange(seeds))
 
     def metric(sample):
-        y = sample[:, 0]
-        return float(np.mean([metric_fn(confusion(y, sample[:, si]))
-                              for si in range(1, sample.shape[1])]))
+        counts = np.bincount(sample.ravel(), minlength=16 * seeds)
+        return metric_fn(counts.reshape(seeds, 4, 4)).sum() / seeds
 
     return bootstrap_ci(records, metric, n_resamples=n_resamples, seed=seed)
 
@@ -380,15 +386,21 @@ def cmd_eval(args) -> int:
     y_true, preds, per_seed_ms, ci_ba, ci_f1 = _score(
         [model for _, model in models], samples, args.bootstrap, args.stats_seed)
 
-    # stored per-seed numbers are test metrics, so only cross-check on test
+    # stored numbers are test metrics, so only cross-check on test; the CI
+    # offsets depend on --bootstrap and --stats-seed, which are not recorded
     if stored is not None and args.split == "test":
-        for seed_result, m in zip(stored.seeds, per_seed_ms):
-            value = balanced_accuracy(m)
-            if value != seed_result.balanced_accuracy:
-                raise ValueError(
-                    f"seed {seed_result.seed}: recomputed balanced accuracy "
-                    f"{value!r} differs from report "
-                    f"{seed_result.balanced_accuracy!r}")
+        checks = [(f"seed {s.seed}", key, getattr(s, key), fn(m))
+                  for s, m in zip(stored.seeds, per_seed_ms)
+                  for key, fn in (("balanced_accuracy", balanced_accuracy),
+                                  ("weighted_f1", weighted_f1),
+                                  ("per_class", per_class_accuracy))]
+        checks += [("mean", "balanced_accuracy", stored.mean_balanced_accuracy,
+                    ci_ba.point),
+                   ("mean", "weighted_f1", stored.mean_weighted_f1, ci_f1.point)]
+        for section, key, want, got in checks:
+            if got != want:
+                raise ValueError(f"[{section}] {key}: recomputed {got!r} "
+                                 f"differs from report {want!r}")
         print(f"report metrics reproduced for seeds "
               f"{','.join(str(s.seed) for s in stored.seeds)}")
 

@@ -3,9 +3,11 @@
 Confusion-matrix metrics follow the standard definitions: balanced accuracy
 is macro-averaged recall, weighted F1 is support-weighted per-class F1, and
 per-class accuracy is per-class recall.  Classes with zero support are left
-out of macro averages.  Significance between two systems comes from a paired
-sign-flip permutation test, and uncertainty from a percentile bootstrap over
-slides.
+out of macro averages.  Balanced accuracy and weighted F1 take one (4, 4)
+matrix, giving a float, or a (..., 4, 4) stack, giving an array of the same
+floats: an absent class adds +0.0, and class terms add in class order.
+Significance between two systems comes from a paired sign-flip permutation
+test, and uncertainty from a percentile bootstrap over slides.
 
 The permutation test counts instead of building permuted outcome matrices.
 Outcomes are 0/1, so every per-class sum of correct slides is an integer,
@@ -44,6 +46,9 @@ PERMUTATION_STATISTICS = ("balanced_accuracy_diff", "accuracy_diff")
 # coin flips drawn per chunk of the permutation test (512 KB of float64)
 PERMUTATION_CHUNK = 1 << 16
 
+# slide indices drawn per chunk of bootstrap resamples (512 KB of int64)
+BOOTSTRAP_CHUNK = 1 << 16
+
 
 def confusion(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
     """Count matrix M[i, j] = slides of true class i predicted as class j."""
@@ -58,31 +63,38 @@ def confusion(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
     return cells.reshape(n_classes, n_classes)
 
 
-def balanced_accuracy(m: np.ndarray) -> float:
+def balanced_accuracy(m: np.ndarray) -> float | np.ndarray:
     """Mean per-class recall over classes that appear in the truth."""
     m = np.asarray(m)
-    support = m.sum(axis=1)
+    support = m.sum(axis=-1)
     present = support > 0
-    if not present.any():
+    if not present.any(axis=-1).all():
         raise ValueError("confusion matrix has no samples")
-    recall = np.diag(m)[present] / support[present]
-    return float(recall.mean())
+    # an absent class has a zero diagonal, so its recall is 0 / 1 = +0.0
+    recall = np.diagonal(m, axis1=-2, axis2=-1) / np.maximum(support, 1)
+    return _scalar(recall.sum(axis=-1) / present.sum(axis=-1))
 
 
-def weighted_f1(m: np.ndarray) -> float:
+def weighted_f1(m: np.ndarray) -> float | np.ndarray:
     """Support-weighted mean of per-class F1 (F1 = 0 where P + R = 0)."""
     m = np.asarray(m)
-    support = m.sum(axis=1)
-    if support.sum() == 0:
+    support = m.sum(axis=-1)
+    total = support.sum(axis=-1)
+    if (total == 0).any():
         raise ValueError("confusion matrix has no samples")
-    predicted = m.sum(axis=0)
-    tp = np.diag(m).astype(np.float64)
+    predicted = m.sum(axis=-2)
+    tp = np.diagonal(m, axis1=-2, axis2=-1).astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(predicted > 0, tp / predicted, 0.0)
         recall = np.where(support > 0, tp / support, 0.0)
         pr = precision + recall
         f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
-    return float((support * f1).sum() / support.sum())
+    return _scalar((support * f1).sum(axis=-1) / total)
+
+
+def _scalar(values: np.ndarray) -> float | np.ndarray:
+    """A float for one matrix's metric, the array for a stack's."""
+    return float(values) if values.ndim == 0 else values
 
 
 def per_class_accuracy(m: np.ndarray) -> list[float | None]:
@@ -186,7 +198,9 @@ def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
     ZeroDivisionError) are skipped and counted, with a warning past 1%.
 
     The records are converted once with ``np.asarray``, resampled along the
-    first axis and handed to the metric as an array.
+    first axis and handed to the metric as an array, one resample per call.
+    Indices are drawn a chunk of resamples at a time; PCG64 gives the same
+    indices as one draw of ``n`` per resample.
     """
     records = np.asarray(records)
     if len(records) == 0:
@@ -198,14 +212,16 @@ def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
     point = float(metric(records))
     rng = np.random.default_rng(seed)
     n = len(records)
+    rows = max(1, BOOTSTRAP_CHUNK // n)
     stats = []
     skipped = 0
-    for _ in range(n_resamples):
-        idx = rng.integers(0, n, size=n)
-        try:
-            stats.append(float(metric(records[idx])))
-        except (ValueError, ZeroDivisionError):
-            skipped += 1
+    for done in range(0, n_resamples, rows):
+        chunk = records[rng.integers(0, n, size=(min(rows, n_resamples - done), n))]
+        for sample in chunk:
+            try:
+                stats.append(float(metric(sample)))
+            except (ValueError, ZeroDivisionError):
+                skipped += 1
     if not stats:
         raise ValueError("metric undefined on every bootstrap resample")
     if skipped > 0.01 * n_resamples:

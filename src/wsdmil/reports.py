@@ -135,6 +135,16 @@ def _parse_per_class(text: str) -> list[float | None]:
     return [None if tok == "-" else float(tok) for tok in text.split(",")]
 
 
+def _history_row(line: str) -> tuple[int, float, float]:
+    epoch, train_loss, val_bal_acc = line.split()
+    return int(epoch), float(train_loss), float(val_bal_acc)
+
+
+def _ci_pair(text: str) -> tuple[float, float]:
+    low, high = text.split(",")
+    return float(low), float(high)
+
+
 def _key_value(line: str) -> tuple[str, str]:
     key, _, value = line.partition(":")
     return key.strip(), value.strip()
@@ -193,10 +203,16 @@ def read_report(path) -> RunReport:
     fields = {name: dict(_key_value(line) for line in lines)
               for name, lines in sections.items()}
 
+    def parsed(name: str, what: str, text: str, parse):
+        try:
+            return parse(text)
+        except ValueError:
+            raise ValueError(f"{path}: [{name}] bad {what}: {text!r}") from None
+
     def get(name: str, key: str, parse=str):
         if key not in fields.get(name, {}):
             raise ValueError(f"{path}: [{name}] has no {key!r}")
-        return parse(fields[name][key])
+        return parsed(name, repr(key), fields[name][key], parse)
 
     header, mean = fields[""], fields.get("mean", {})
     if header.get("schema") != REPORT_SCHEMA:
@@ -204,8 +220,9 @@ def read_report(path) -> RunReport:
                          f"{header.get('schema')!r}")
     seeds = []
     for name in (n for n in sections if n.startswith("seed ")):
-        seed = int(name.split()[1])
-        history = [line.split() for line in sections.get(f"history {seed}", [])]
+        seed = parsed(name, "seed number", name[len("seed "):], int)
+        history = [parsed(f"history {seed}", "line", line, _history_row)
+                   for line in sections.get(f"history {seed}", [])]
         seeds.append(SeedResult(
             seed=seed,
             balanced_accuracy=get(name, "balanced_accuracy", float),
@@ -213,13 +230,10 @@ def read_report(path) -> RunReport:
             per_class=get(name, "per_class", _parse_per_class),
             best_epoch=get(name, "best_epoch", int),
             params_path=get(name, "params"),
-            history=[(int(e), float(tl), float(vb)) for e, tl, vb in history]))
+            history=history))
 
     def _ci(key):
-        if key not in mean:
-            return None
-        lo, hi = mean[key].split(",")
-        return (float(lo), float(hi))
+        return get("mean", key, _ci_pair) if key in mean else None
 
     return RunReport(
         config=fields.get("config", {}),

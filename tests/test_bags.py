@@ -172,6 +172,23 @@ def test_manifest_round_trip(tmp_path):
     assert "bags/s0.bag" in path.read_text()
 
 
+def test_manifest_bag_paths_match_a_full_resolve(tmp_path):
+    (tmp_path / "store" / "inner").mkdir(parents=True)
+    (tmp_path / "data" / "sub").mkdir(parents=True)
+    (tmp_path / "link").symlink_to(tmp_path / "store" / "inner",
+                                   target_is_directory=True)
+    rels = ["../link/s0.bag", "../link/s1.bag", "sub/../../store/inner/s2.bag",
+            "../link/../s3.bag", "sub/s4.bag", "s5.bag"]
+    base = tmp_path / "data"
+    manifest = base / "manifest.tsv"
+    manifest.write_text("".join(f"s{i}\t{rel}\t3+4\t3+4\ttrain\n"
+                                for i, rel in enumerate(rels)))
+    got = [e.bag_path for e in read_manifest(manifest)]
+    assert got == [(base / rel).resolve() for rel in rels]
+    # the symlinked directory is followed: "link/.." is store, not tmp_path
+    assert got[3] == tmp_path.resolve() / "store" / "s3.bag"
+
+
 def test_manifest_skips_comments_and_blank_lines(tmp_path):
     entries = manifest_entries(tmp_path, n=1)
     path = tmp_path / "manifest.tsv"

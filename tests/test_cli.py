@@ -266,17 +266,52 @@ def test_eval_detects_manifest_drift(baseline_run, dataset, tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
-def test_eval_report_missing_key_is_data_error(baseline_run, tmp_path, capsys):
-    report = tmp_path / "base.report"
-    report.write_text("".join(
-        line for line in baseline_run.read_text().splitlines(keepends=True)
-        if not line.startswith("weighted_f1:")))
+def _copy_run(baseline_run, target):
+    """The baseline report's lines, with its params archives copied to
+    ``target``'s directory."""
     for seed in (1, 2):
         archive = f"base_params_seed{seed}.npz"
-        (tmp_path / archive).write_bytes((baseline_run.parent / archive).read_bytes())
+        (target.parent / archive).write_bytes(
+            (baseline_run.parent / archive).read_bytes())
+    return baseline_run.read_text().splitlines(keepends=True)
+
+
+def test_eval_report_missing_key_is_data_error(baseline_run, tmp_path, capsys):
+    report = tmp_path / "base.report"
+    report.write_text("".join(line for line in _copy_run(baseline_run, report)
+                              if not line.startswith("weighted_f1:")))
     assert main(["eval", str(report)]) == 3
     err = capsys.readouterr().err
     assert f"{report}: [seed 1] has no 'weighted_f1'" in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("seed 1", "balanced_accuracy", "0.99"),
+    ("seed 2", "weighted_f1", "0.99"),
+    ("seed 1", "per_class", "0.5,0.5,0.5,0.5"),
+    ("mean", "balanced_accuracy", "0.99"),
+    ("mean", "weighted_f1", "0.99"),
+])
+def test_eval_edited_report_number_is_data_error(baseline_run, tmp_path, capsys,
+                                                 section, key, value):
+    report = tmp_path / "base.report"
+    lines = _copy_run(baseline_run, report)
+    start = lines.index(f"[{section}]\n")
+    at = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key}:"))
+    lines[at] = f"{key}: {value}\n"
+    report.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["eval", str(report), "--bootstrap", "20"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: [{section}] {key}: recomputed ")
+    assert " differs from report " in err
+
+
+def test_eval_reproduces_report_at_other_bootstrap_settings(baseline_run, capsys):
+    # the CI offsets depend on these flags, so eval does not compare them
+    assert main(["eval", str(baseline_run), "--bootstrap", "30",
+                 "--stats-seed", "4"]) == 0
+    assert "report metrics reproduced for seeds 1,2" in capsys.readouterr().out
 
 
 def _rewrite(source, archive, **changes):

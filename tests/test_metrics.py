@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wsdmil.metrics import (
+    BOOTSTRAP_CHUNK,
     BootstrapResult,
     balanced_accuracy,
     bootstrap_ci,
@@ -68,6 +69,61 @@ def test_confusion_rejects_bad_labels():
         confusion([0, 4], [0, 0])
     with pytest.raises(ValueError, match="outside"):
         confusion([0, 0], [-1, 0])
+
+
+def stack_with_absent_classes():
+    """Confusion matrices of random labels over 4, 3, 2 and 1 present classes."""
+    rng = np.random.default_rng(12)
+    stack = []
+    for classes in [(0, 1, 2, 3), (0, 1, 3), (1, 2, 3), (0, 2), (1, 3), (2,), (3,)]:
+        for n in (1, 7, 40, 150, 600) * 60:
+            y = rng.choice(classes, size=n)
+            p = np.where(rng.random(n) < 0.6, y, rng.integers(0, 4, size=n))
+            stack.append(confusion(y, p))
+    return np.array(stack)
+
+
+def reference_balanced_accuracy(m):
+    """The one-matrix formula: mean recall over the present classes only."""
+    support = m.sum(axis=1)
+    present = support > 0
+    return float((np.diag(m)[present] / support[present]).mean())
+
+
+def reference_weighted_f1(m):
+    """The one-matrix formula, one class at a time."""
+    total = 0.0
+    for c in range(4):
+        tp, support, predicted = m[c, c], m[c].sum(), m[:, c].sum()
+        precision = tp / predicted if predicted else 0.0
+        recall = tp / support if support else 0.0
+        if precision + recall > 0:
+            total += support * (2.0 * precision * recall / (precision + recall))
+    return float(total / m.sum())
+
+
+@pytest.mark.parametrize("metric, reference",
+                         [(balanced_accuracy, reference_balanced_accuracy),
+                          (weighted_f1, reference_weighted_f1)])
+def test_metric_of_a_stack_equals_per_matrix_calls(metric, reference):
+    stack = stack_with_absent_classes()
+    expected = [metric(m) for m in stack]
+    assert all(type(v) is float for v in expected)
+    assert expected == [reference(m) for m in stack]
+    got = metric(stack)
+    assert got.shape == (len(stack),)
+    assert got.tolist() == expected
+    assert metric(stack.reshape(3, -1, 4, 4)).ravel().tolist() == expected
+
+
+@pytest.mark.parametrize("metric", [balanced_accuracy, weighted_f1])
+def test_metric_of_a_stack_with_an_empty_matrix_raises(metric):
+    stack = stack_with_absent_classes()
+    stack[5] = 0
+    with pytest.raises(ValueError, match="no samples"):
+        metric(stack)
+    with pytest.raises(ValueError, match="no samples"):
+        metric(stack[5])
 
 
 def test_random_predictor_sits_near_chance():
@@ -225,6 +281,24 @@ def test_bootstrap_validation():
         bootstrap_ci([1.0], mean_metric, n_resamples=0)
     with pytest.raises(ValueError, match="level"):
         bootstrap_ci([1.0], mean_metric, level=1.0)
+
+
+@pytest.mark.parametrize("n", [5, 600, 601, BOOTSTRAP_CHUNK + 1])
+def test_bootstrap_draws_the_same_resamples_as_one_draw_per_resample(n):
+    # two chunks of resamples and three more
+    n_resamples = 2 * max(1, BOOTSTRAP_CHUNK // n) + 3
+    seen = []
+
+    def record(sample):
+        seen.append(sample.copy())
+        return 0.0
+
+    bootstrap_ci(np.arange(n), record, n_resamples=n_resamples, seed=4)
+    rng = np.random.default_rng(4)
+    assert len(seen) == 1 + n_resamples
+    assert seen[0].tolist() == list(range(n))
+    for sample in seen[1:]:
+        assert sample.tolist() == rng.integers(0, n, size=n).tolist()
 
 
 def test_bootstrap_result_offsets_are_signed():

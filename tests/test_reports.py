@@ -131,6 +131,28 @@ def test_report_missing_key_names_report_and_section(tmp_path, section, key):
     assert str(info.value) == f"{path}: [{section}] has no {key!r}"
 
 
+@pytest.mark.parametrize("old, new, section", [
+    ("1 1.101 0.3333333333333333\n", "1 1.101\n", "history 13"),
+    ("1 1.101 0.3333333333333333\n", "1 1.101 x\n", "history 13"),
+    ("[seed 37]\n", "[seed x]\n", "seed x"),
+    ("best_epoch: 2\n", "best_epoch: two\n", "seed 37"),
+    ("weighted_f1: 0.45\n", "weighted_f1: 0.45.0\n", "seed 37"),
+    ("per_class: 0.5,0.5,-,-\n", "per_class: 0.5,0.5,?,-\n", "seed 37"),
+    ("ci_weighted_f1: 0.28,0.44\n", "ci_weighted_f1: 0.28\n", "mean"),
+], ids=["history-two-fields", "history-not-numeric", "seed-header",
+        "best-epoch", "weighted-f1", "per-class", "ci-one-field"])
+def test_report_malformed_line_names_report_and_section(tmp_path, old, new,
+                                                        section):
+    path = tmp_path / "malformed.report"
+    write_report(sample_report(), path)
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError) as info:
+        read_report(path)
+    assert str(info.value).startswith(f"{path}: [{section}] bad ")
+
+
 def test_report_schema_is_checked(tmp_path):
     path = tmp_path / "old.report"
     path.write_text("schema: wsdmil-report/0\ncreated: x\n")

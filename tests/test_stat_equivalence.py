@@ -132,12 +132,20 @@ def test_permutation_test_rejects_non_binary_outcomes():
         paired_permutation_test([0.0, 0.5], [1.0, 0.0], statistic="accuracy_diff")
 
 
-@pytest.mark.parametrize("n", [1, 5, 20, 600])
-@pytest.mark.parametrize("n_seeds", [1, 2, 3])
+# slide count and label set per case; the last two leave classes absent
+SEED_MEAN_CASES = {"1": (1, (0, 1, 2, 3)), "5": (5, (0, 1, 2, 3)),
+                   "20": (20, (0, 1, 2, 3)), "600": (600, (0, 1, 2, 3)),
+                   "40-labels-1-3": (40, (1, 3)),
+                   "600-labels-0-2-3": (600, (0, 2, 3))}
+
+
+@pytest.mark.parametrize("n, labels", list(SEED_MEAN_CASES.values()),
+                         ids=list(SEED_MEAN_CASES))
+@pytest.mark.parametrize("n_seeds", [1, 2, 3, 5])
 @pytest.mark.parametrize("metric_fn", [balanced_accuracy, weighted_f1])
-def test_seed_mean_ci_equals_reference(n, n_seeds, metric_fn):
+def test_seed_mean_ci_equals_reference(n, labels, n_seeds, metric_fn):
     rng = np.random.default_rng(100 * n + n_seeds)
-    y = rng.integers(0, 4, size=n)
+    y = np.array(labels)[rng.integers(0, len(labels), size=n)]
     preds = [np.where(rng.random(n) < 0.5, y, rng.integers(0, 4, size=n))
              for _ in range(n_seeds)]
     n_resamples = 300 if n == 600 else 1000
