@@ -1,18 +1,23 @@
 """Slide feature bags: binary bag files, manifests, and a synthetic generator.
 
 A bag is one slide's set of patch feature vectors plus patch-grid coordinates.
-Bags live on disk in a fixed little-endian binary layout (float32 features,
-widened to float64 in memory) and are enumerated by a flat tab-separated
-manifest.  The synthetic generator samples Gaussian prototype mixtures whose
-hardness and rater disagreement both grow with a latent difficulty, and its
-defaults are calibrated so the consensus-level mix lands near the target
-fractions below.
+Bags live on disk in a fixed little-endian binary layout and are enumerated
+by a flat tab-separated manifest.  Features stay float32 in memory, as read;
+each forward pass widens them to float64, which is exact.  Bags, manifests
+and every other file this package writes are written atomically, through a
+temp file beside the target that is renamed over it.  The synthetic
+generator samples Gaussian prototype mixtures whose hardness and rater
+disagreement both grow with a latent difficulty, and its defaults are
+calibrated so the consensus-level mix lands near the target fractions below.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +39,7 @@ __all__ = [
     "SynthResult",
     "CALIBRATION_TARGETS",
     "SPLITS",
+    "open_atomic",
     "write_bag",
     "read_bag",
     "read_manifest",
@@ -70,15 +76,21 @@ class BagFormatError(ValueError):
 
 @dataclass
 class Bag:
-    """One slide's instance features (n, d) and patch-grid coords (n, 2)."""
+    """One slide's instance features (n, d) and patch-grid coords (n, 2).
+
+    float32 features are kept as they are; any other dtype is widened to
+    float64.  Each patch-grid coordinate may occur once per bag.
+    """
 
     slide_id: str
     features: np.ndarray
     coords: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.coords = np.asarray(self.coords, dtype=np.int32)
+        self.features = np.asarray(self.features)
+        if self.features.dtype != np.float32:
+            self.features = self.features.astype(np.float64, copy=False)
+        self.coords = np.ascontiguousarray(self.coords, dtype=np.int32)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError(f"bag {self.slide_id}: features must be (n>=1, d), "
                              f"got {self.features.shape}")
@@ -87,6 +99,14 @@ class Bag:
         if self.coords.shape != (self.features.shape[0], 2):
             raise ValueError(f"bag {self.slide_id}: coords shape {self.coords.shape} "
                              f"does not match {self.features.shape[0]} instances")
+        keys = self.coords.view(np.int64).ravel()     # one int64 per (x, y)
+        ordered = np.sort(keys)
+        if (ordered[1:] == ordered[:-1]).any():
+            _, first = np.unique(keys, return_index=True)
+            dup = int(np.setdiff1d(np.arange(self.n), first)[0])
+            x, y = self.coords[dup]
+            raise ValueError(f"bag {self.slide_id}: duplicate patch coordinate "
+                             f"({x}, {y}) at instance {dup}")
 
     @property
     def n(self) -> int:
@@ -97,17 +117,38 @@ class Bag:
         return self.features.shape[1]
 
 
+@contextmanager
+def open_atomic(path):
+    """Open ``path`` for binary writing so that it is replaced whole or not
+    at all: the bytes go to a temp file in the same directory, which is
+    renamed over ``path`` only when the block exits normally.  On an
+    exception the temp file is removed and ``path`` keeps its old content.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_bag(bag: Bag, path) -> None:
     """Serialize a bag (header, float32 features row-major, int32 coords)."""
     n, d = bag.features.shape
-    payload = bytearray(_HEADER.pack(_MAGIC, _VERSION, n, d))
-    payload += np.ascontiguousarray(bag.features, dtype="<f4").tobytes()
-    payload += np.ascontiguousarray(bag.coords, dtype="<i4").tobytes()
-    Path(path).write_bytes(bytes(payload))
+    features = np.ascontiguousarray(bag.features, dtype="<f4")
+    coords = np.ascontiguousarray(bag.coords, dtype="<i4")
+    with open_atomic(path) as fh:
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, n, d))
+        fh.write(features.data)
+        fh.write(coords.data)
 
 
 def read_bag(path, slide_id: str | None = None) -> Bag:
-    """Read a bag file, widening features to float64.
+    """Read a bag file.  Its features are a read-only float32 view of the
+    file's bytes.
 
     Raises BagFormatError with reason "bad_magic", "bad_version",
     "empty_dims", "truncated", or "trailing_data".
@@ -134,10 +175,9 @@ def read_bag(path, slide_id: str | None = None) -> Bag:
                              f"bytes past declared payload")
     off = _HEADER.size
     features = np.frombuffer(raw, dtype="<f4", count=n * d, offset=off)
-    features = features.reshape(n, d).astype(np.float64)
     off += 4 * n * d
     coords = np.frombuffer(raw, dtype="<i4", count=2 * n, offset=off).reshape(n, 2)
-    return Bag(slide_id or path.stem, features, coords.copy())
+    return Bag(slide_id or path.stem, features.reshape(n, d), coords.copy())
 
 
 @dataclass(frozen=True)
@@ -215,7 +255,8 @@ def write_manifest(entries, path) -> None:
             rel = bag_path
         non = "-" if e.nonexpert is None else str(e.nonexpert)
         lines.append(f"{e.slide_id}\t{rel.as_posix()}\t{e.expert}\t{non}\t{e.split}")
-    path.write_text("\n".join(lines) + "\n")
+    with open_atomic(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
 
 
 def split_bags(entries, split: str) -> list[ManifestEntry]:

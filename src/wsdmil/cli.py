@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bags import (generate_synthetic, read_bag, read_manifest, split_bags,
-                   CALIBRATION_TARGETS, SynthConfig)
+from .bags import (generate_synthetic, open_atomic, read_bag, read_manifest,
+                   split_bags, CALIBRATION_TARGETS, SynthConfig)
 from .gleason import (ConsensusLevel, WeightTriple, class_of, consensus_level)
 from .metrics import (balanced_accuracy, bootstrap_ci, confusion,
                       paired_permutation_test, per_class_accuracy, weighted_f1)
@@ -328,7 +328,8 @@ def cmd_grid(args) -> int:
     table = "\n".join(lines)
     print(table)
     if args.out:
-        Path(args.out).write_text(table + "\n")
+        with open_atomic(args.out) as fh:
+            fh.write((table + "\n").encode())
         print(f"table: {args.out}")
     return EXIT_OK
 

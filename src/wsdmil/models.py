@@ -144,7 +144,7 @@ def _minmax(values: np.ndarray) -> np.ndarray:
 def forward_maxmil(params: dict[str, Tensor], features: np.ndarray) -> BagOutput:
     """Instance-level MLP with per-class max pooling of instance logits."""
     _check_dim(params, "embed.w", features)
-    x = Tensor(features, name="features", requires_grad=False)
+    x = Tensor(features, name="features", requires_grad=False)  # float32 widens here
     hidden = (x @ params["embed.w"] + params["embed.b"]).relu()   # (n, H)
     inst_logits = hidden @ params["cls.w"] + params["cls.b"]      # (n, 4)
     logits = inst_logits.max_rows()                               # (1, 4)
@@ -159,7 +159,7 @@ def forward_abmil(params: dict[str, Tensor], features: np.ndarray,
                   gated: bool = False) -> BagOutput:
     """Attention pooling over embedded instances, optionally gated."""
     _check_dim(params, "embed.w", features)
-    x = Tensor(features, name="features", requires_grad=False)
+    x = Tensor(features, name="features", requires_grad=False)  # float32 widens here
     hidden = (x @ params["embed.w"] + params["embed.b"]).relu()   # (n, H)
     branch = (hidden @ params["attn_v.w"]).tanh()                 # (n, L)
     if gated:
@@ -182,7 +182,7 @@ def forward_dsmil(params: dict[str, Tensor], features: np.ndarray) -> BagOutput:
     value vectors per class.  Final logits average the two streams.
     """
     _check_dim(params, "inst.w", features)
-    x = Tensor(features, name="features", requires_grad=False)
+    x = Tensor(features, name="features", requires_grad=False)  # float32 widens here
     inst_logits = x @ params["inst.w"] + params["inst.b"]         # (n, 4)
     queries = x @ params["query.w"] + params["query.b"]           # (n, L)
     values = x @ params["value.w"] + params["value.b"]            # (n, H)

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
+from .bags import open_atomic
 from .models import ModelConfig, param_shapes
 
 __all__ = [
@@ -62,7 +63,7 @@ def save_params(params: dict[str, Tensor], config: ModelConfig, path) -> None:
     """Write parameters and their model config to an .npz archive."""
     arrays = {name: p.data for name, p in params.items()}
     arrays["__model_config__"] = np.array(json.dumps(asdict(config)))
-    with open(path, "wb") as fh:
+    with open_atomic(path) as fh:    # np.savez would add .npz to a path
         np.savez(fh, **arrays)
 
 
@@ -178,7 +179,8 @@ def write_report(report: RunReport, path) -> None:
         if ci is not None:
             lines.append(f"{key}: {ci[0]!r},{ci[1]!r}")
     lines.append(f"display: {report.display_line()}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open_atomic(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
 
 
 def _now() -> str:
@@ -278,7 +280,8 @@ def write_pgm(grid: np.ndarray, path) -> None:
     if grid.ndim != 2:
         raise ValueError(f"heatmap grid must be 2-D, got shape {grid.shape}")
     header = f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + grid.tobytes())
+    with open_atomic(path) as fh:
+        fh.write(header + grid.tobytes())
 
 
 def write_attention_table(pairs: list[tuple[tuple[int, int], float]], path) -> None:
@@ -286,4 +289,5 @@ def write_attention_table(pairs: list[tuple[tuple[int, int], float]], path) -> N
     ordered = sorted(pairs, key=lambda p: (-p[1], p[0]))
     lines = ["# x\ty\tweight"]
     lines += [f"{c[0]}\t{c[1]}\t{w:.6f}" for c, w in ordered]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open_atomic(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())

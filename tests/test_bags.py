@@ -12,6 +12,7 @@ from wsdmil.bags import (
     ManifestEntry,
     SynthConfig,
     generate_synthetic,
+    open_atomic,
     read_bag,
     read_manifest,
     split_bags,
@@ -40,7 +41,7 @@ def test_bag_round_trip_preserves_content(tmp_path):
     write_bag(bag, path)
     back = read_bag(path)
     assert back.slide_id == "sample"
-    assert back.features.dtype == np.float64
+    assert back.features.dtype == np.float32
     assert back.coords.dtype == np.int32
     np.testing.assert_array_equal(back.features, bag.features)
     np.testing.assert_array_equal(back.coords, bag.coords)
@@ -53,6 +54,49 @@ def test_bag_round_trip_is_byte_identical(tmp_path):
     write_bag(bag, first)
     write_bag(read_bag(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_read_bag_features_are_a_read_only_float32_view(tmp_path):
+    path = tmp_path / "sample.bag"
+    write_bag(sample_bag(n=9, d=4), path)
+    features = read_bag(path).features
+    assert features.dtype == np.float32
+    assert features.shape == (9, 4)
+    assert features.nbytes == 4 * 9 * 4
+    assert not features.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        features[0, 0] = 1.0
+
+
+def test_bag_keeps_float32_and_widens_every_other_dtype():
+    coords = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.int32)
+    narrow = np.ones((3, 2), dtype=np.float32)
+    wide = np.ones((3, 2))
+    assert Bag("a", narrow, coords).features is narrow
+    assert Bag("b", wide, coords).features is wide
+    for other in (np.ones((3, 2), dtype=np.float16), np.ones((3, 2), dtype=">f4"),
+                  [[1, 2], [3, 4], [5, 6]]):
+        assert Bag("c", other, coords).features.dtype == np.float64
+
+
+def test_bag_rejects_duplicate_coordinates_naming_the_first():
+    coords = np.array([[0, 0], [5, 2], [3, 3], [3, 3], [5, 2]])
+    with pytest.raises(ValueError, match=r"bag s07: duplicate patch coordinate "
+                                         r"\(3, 3\) at instance 3"):
+        Bag("s07", np.zeros((5, 2)), coords)
+    Bag("s08", np.zeros((3, 2)), [[1, 2], [2, 1], [-1, 2]])  # all distinct
+
+
+def test_read_bag_rejects_duplicate_coordinates(tmp_path):
+    path = tmp_path / "s00001.bag"
+    write_bag(sample_bag(n=4, d=2), path)
+    raw = bytearray(path.read_bytes())
+    coords_at = 16 + 4 * 4 * 2
+    raw[coords_at + 16:coords_at + 24] = raw[coords_at:coords_at + 8]
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=r"bag s00001: duplicate patch "
+                                         r"coordinate \(0, 0\) at instance 2"):
+        read_bag(path)
 
 
 def test_read_bag_uses_filename_for_default_slide_id(tmp_path):
@@ -71,6 +115,44 @@ def test_write_bag_layout_matches_documented_header(tmp_path):
     assert magic == b"WSDB"
     assert (version, n, d) == (1, 2, 3)
     assert len(raw) == 16 + 4 * n * d + 8 * n
+
+
+# ---- atomic writes ----------------------------------------------------------------
+
+
+def test_open_atomic_replaces_the_file_whole(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old contents")
+    with open_atomic(path) as fh:
+        fh.write(b"new")
+        assert path.read_bytes() == b"old contents"   # not visible until done
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_open_atomic_keeps_the_old_file_when_the_block_raises(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old contents")
+    with pytest.raises(RuntimeError):
+        with open_atomic(path) as fh:
+            fh.write(b"half")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+@pytest.mark.parametrize("writer", ["bag", "manifest"])
+def test_failed_write_leaves_old_file_and_no_temp_file(tmp_path, disk_full, writer):
+    path = tmp_path / f"target.{writer}"
+    path.write_bytes(b"old contents")
+    with pytest.raises(OSError, match="disk full"):
+        if writer == "bag":
+            write_bag(sample_bag(), path)
+        else:
+            write_manifest([ManifestEntry("s1", tmp_path / "s1.bag",
+                                          parse_score("3+4"), None, "test")], path)
+    assert path.read_bytes() == b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 # ---- error taxonomy ---------------------------------------------------------------

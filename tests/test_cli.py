@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -156,6 +157,43 @@ def test_train_mixed_feature_dims_fail_before_training(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_duplicate_coordinates_fail_before_training(tmp_path, capsys,
+                                                         monkeypatch):
+    root = tmp_path / "dup"
+    assert main(["gen-synthetic", "--out", str(root), "--splits", "4,2,2",
+                 "--dim", "8", "--size-factor", "0.05", "--seed", "5"]) == 0
+    rows = [line.split("\t") for line in
+            (root / "manifest.tsv").read_text().splitlines()
+            if not line.startswith("#")]
+    slide, path = next((r[0], root / r[1]) for r in rows if r[4] == "test")
+    raw = bytearray(path.read_bytes())
+    n, d = struct.unpack_from("<II", raw, 8)
+    coords_at = 16 + 4 * n * d
+    raw[coords_at + 8 * (n - 1):] = raw[coords_at:coords_at + 8]  # last = first
+    path.write_bytes(bytes(raw))
+    monkeypatch.setattr(cli, "train", None)    # any training call would fail
+    out = tmp_path / "r.report"
+    capsys.readouterr()
+    assert main(["train", "--data", str(root), "--out", str(out)]
+                + FAST_TRAIN) == 3
+    err = capsys.readouterr().err
+    assert f"bag {slide}: duplicate patch coordinate" in err
+    assert f"at instance {n - 1}" in err
+    assert not out.exists()
+
+
+def test_loaded_bags_hold_float32_features_only(tmp_path):
+    root = tmp_path / "wide"
+    assert main(["gen-synthetic", "--out", str(root), "--splits", "6,3,3",
+                 "--dim", "256", "--size-factor", "0.05", "--seed", "2"]) == 0
+    samples = cli._load_samples(root / "manifest.tsv", "train", "val", "test")
+    bags = [s.bag for split in samples.values() for s in split]
+    assert len(bags) == 12
+    assert {bag.features.dtype for bag in bags} == {np.dtype(np.float32)}
+    assert sum(bag.features.nbytes for bag in bags) == \
+        4 * sum(bag.n * bag.d for bag in bags)
+
+
 def test_train_env_var_supplies_data_root(dataset, tmp_path, monkeypatch):
     monkeypatch.setenv(DATA_ROOT_ENV, str(dataset))
     out = tmp_path / "env.report"
@@ -201,6 +239,19 @@ def test_grid_multitask_writes_table_file(dataset, tmp_path, capsys):
     text = table.read_text()
     assert "bal_acc" in text and "w_f1" in text
     assert "*" in text.splitlines()[1]
+
+
+def test_grid_failed_table_write_keeps_the_old_table(dataset, tmp_path,
+                                                    disk_full, capsys):
+    table = tmp_path / "grid.txt"
+    table.write_text("old table\n")
+    assert main(["grid", "--data", str(dataset), "--method", "multitask",
+                 "--grid-ab", "(1,0)", "--model", "maxmil", "--hidden-dim", "8",
+                 "--attention-dim", "4", "--epochs", "1", "--seeds", "1",
+                 "--out", str(table)]) == 3
+    assert "disk full" in capsys.readouterr().err
+    assert table.read_text() == "old table\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.txt"]
 
 
 def test_grid_rejects_bad_points(dataset):

@@ -227,6 +227,20 @@ def test_no_regression_head_means_no_prediction(head):
     assert out.class_logits.shape == (1, 4)
 
 
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_float32_bag_forward_equals_its_float64_copy_bitwise(head):
+    mc = config(head, with_regression_head=True)
+    params = init_model(mc)
+    bag = random_bag(n=9, seed=4)
+    narrow = Bag("narrow", bag.features.astype(np.float32), bag.coords)
+    wide = Bag("wide", narrow.features.astype(np.float64), bag.coords)
+    assert narrow.features.dtype == np.float32
+    a, b = forward_bag(params, mc, narrow), forward_bag(params, mc, wide)
+    assert a.class_logits.data.tobytes() == b.class_logits.data.tobytes()
+    assert a.attention.tobytes() == b.attention.tobytes()
+    assert a.wsd_prediction.data.tobytes() == b.wsd_prediction.data.tobytes()
+
+
 def test_predicted_class_is_argmax():
     params = init_model(config("abmil"))
     out = forward_bag(params, config("abmil"), random_bag(n=5, seed=12))

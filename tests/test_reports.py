@@ -224,3 +224,28 @@ def test_schema_constant_matches_written_header(tmp_path):
     path = tmp_path / "r.report"
     write_report(sample_report(), path)
     assert path.read_text().splitlines()[0] == f"schema: {REPORT_SCHEMA}"
+
+
+# ---- atomic writes ----------------------------------------------------------------
+
+
+def write_each(kind, path):
+    if kind == "params":
+        mc = ModelConfig("abmil", 4, hidden_dim=3, attention_dim=2)
+        save_params(init_model(mc), mc, path)
+    elif kind == "report":
+        write_report(sample_report(), path)
+    elif kind == "pgm":
+        write_pgm(np.arange(6, dtype=np.uint8).reshape(2, 3), path)
+    else:
+        write_attention_table([((0, 0), 0.25), ((0, 1), 1.0)], path)
+
+
+@pytest.mark.parametrize("kind", ["params", "report", "pgm", "table"])
+def test_failed_write_leaves_old_file_and_no_temp_file(tmp_path, disk_full, kind):
+    path = tmp_path / f"target.{kind}"
+    path.write_bytes(b"old contents")
+    with pytest.raises(OSError, match="disk full"):
+        write_each(kind, path)
+    assert path.read_bytes() == b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

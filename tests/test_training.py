@@ -9,7 +9,8 @@ import pytest
 
 from wsdmil import training
 from wsdmil.autodiff import Tensor
-from wsdmil.bags import SynthConfig, generate_synthetic, read_manifest, split_bags
+from wsdmil.bags import (Bag, SynthConfig, generate_synthetic, read_manifest,
+                         split_bags)
 from wsdmil.gleason import WeightTriple, consensus_record, parse_score, wsd_weight
 from wsdmil.metrics import balanced_accuracy, confusion, weighted_f1
 from wsdmil.models import HEAD_KINDS, BagOutput, ModelConfig, forward_bag, init_model
@@ -272,6 +273,25 @@ def test_beta_zero_multitask_trajectory_matches_baseline_bitwise(dataset):
     for k in base.params:
         assert base.params[k].data.tobytes() == multi.params[k].data.tobytes()
     assert set(multi.params) - set(base.params) == {"reg.w", "reg.b"}
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_float32_bags_train_to_the_same_bits_as_float64_copies(dataset, head):
+    def widened(samples):
+        return [replace(s, bag=Bag(s.bag.slide_id, s.bag.features.astype(np.float64),
+                                   s.bag.coords)) for s in samples]
+
+    def digest(train_samples, val_samples):
+        r = train(tiny_model(dataset["dim"], head=head, reg=True),
+                  TrainConfig(method="multitask", beta=2.0, epochs=2, seed=5),
+                  train_samples, val_samples)
+        return ([(name, p.data.tobytes()) for name, p in sorted(r.params.items())],
+                [(h.train_loss, h.val_balanced_accuracy) for h in r.history],
+                r.best_epoch)
+
+    assert dataset["train"][0].bag.features.dtype == np.float32
+    assert digest(dataset["train"], dataset["val"]) == \
+        digest(widened(dataset["train"]), widened(dataset["val"]))
 
 
 def test_baseline_learns_separable_toy(tmp_path):
