@@ -7,6 +7,12 @@ into ``.grad`` of every reachable node that requires a gradient; the others
 (input features, constants, and everything computed from them alone) have
 ``grad`` None and get no adjoint computed.  ``grad_check`` provides the
 central-difference oracle used to validate all analytic gradients.
+
+The module-level ops (``matmul``, ``add``, ``relu``, ...) take Tensors or
+plain arrays.  On plain arrays alone they return the forward value as an
+ndarray and build no graph, which is how inference runs; with any Tensor
+operand they build the node the Tensor method builds.  Both paths compute
+the value with one array kernel per primitive, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -21,6 +27,18 @@ __all__ = [
     "ShapeError",
     "GradCheckError",
     "GradCheckReport",
+    "value",
+    "add",
+    "mul",
+    "matmul",
+    "scale",
+    "relu",
+    "tanh",
+    "sigmoid",
+    "transpose",
+    "softmax_rows",
+    "max_rows",
+    "mean_rows",
     "concat_rows",
     "take_rows",
     "cross_entropy",
@@ -65,7 +83,9 @@ class Tensor:
     accumulate, so callers zero parameter grads between backward passes.
 
     ``requires_grad`` applies to leaves only; a node with parents requires
-    a gradient when any parent does.
+    a gradient when any parent does.  Each primitive's forward value comes
+    from the same array kernel that the module-level op of that name runs
+    on plain arrays.
     """
 
     __slots__ = ("data", "grad", "op", "name", "_parents")
@@ -96,74 +116,58 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         # equal shapes, or broadcast of a single row across matrix rows
-        if self.shape == other.shape:
-            return Tensor(self.data + other.data, "add",
-                          ((self, _identity), (other, _identity)))
-        if other.shape == (1, self.shape[1]):
-            return Tensor(self.data + other.data, "add_row",
-                          ((self, _identity),
-                           (other, lambda g: g.sum(axis=0, keepdims=True))))
-        if self.shape == (1, other.shape[1]):
-            return other + self
-        raise ShapeError("add", self.shape, other.shape)
+        y = _add(self.data, other.data)
+        return Tensor(y, "add", tuple((t, _identity if t.shape == y.shape else _sum_rows)
+                                      for t in (self, other)))
 
     def __mul__(self, other: "Tensor") -> "Tensor":
-        if self.shape != other.shape:
-            raise ShapeError("mul", self.shape, other.shape)
         a, b = self.data, other.data
-        return Tensor(a * b, "mul", ((self, lambda g: g * b), (other, lambda g: g * a)))
+        return Tensor(_mul(a, b), "mul",
+                      ((self, lambda g: g * b), (other, lambda g: g * a)))
 
     def scale(self, c: float) -> "Tensor":
         c = float(c)
-        return Tensor(self.data * c, "scale", ((self, lambda g: g * c),))
+        return Tensor(_scale(self.data, c), "scale", ((self, lambda g: g * c),))
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError("matmul", self.shape, other.shape)
         a, b = self.data, other.data
-        return Tensor(a @ b, "matmul",
+        return Tensor(_matmul(a, b), "matmul",
                       ((self, lambda g: g @ b.T), (other, lambda g: a.T @ g)))
 
     # ---- elementwise nonlinearities ---------------------------------------------
 
     def tanh(self) -> "Tensor":
-        y = np.tanh(self.data)
+        y = _tanh(self.data)
         return Tensor(y, "tanh", ((self, lambda g: g * (1.0 - y * y)),))
 
     def sigmoid(self) -> "Tensor":
-        # split by sign to avoid overflow in exp
-        x = self.data
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        s = _sigmoid(self.data)
         return Tensor(s, "sigmoid", ((self, lambda g: g * s * (1.0 - s)),))
 
     def relu(self) -> "Tensor":
         x = self.data
-        return Tensor(np.maximum(x, 0.0), "relu", ((self, lambda g: g * (x > 0.0)),))
+        return Tensor(_relu(x), "relu", ((self, lambda g: g * (x > 0.0)),))
 
     # ---- structural ops ----------------------------------------------------------
 
     def transpose(self) -> "Tensor":
-        return Tensor(self.data.T.copy(), "transpose", ((self, lambda g: g.T),))
+        return Tensor(_transpose(self.data), "transpose", ((self, lambda g: g.T),))
 
     # ---- reductions ----------------------------------------------------------------
 
     def softmax_rows(self) -> "Tensor":
-        shifted = self.data - self.data.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        s = e / e.sum(axis=1, keepdims=True)
+        s = _softmax_rows(self.data)
         return Tensor(s, "softmax_rows",
                       ((self, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True))),))
 
     def max_rows(self) -> "Tensor":
-        # columnwise max across rows; ties resolve to the lowest row index
-        cells = (np.argmax(self.data, axis=0), np.arange(self.shape[1]))
-        return Tensor(self.data[cells].reshape(1, -1), "max_rows",
-                      ((self, lambda g: _scatter(self.shape, cells, g[0])),))
+        y, cells = _max_rows(self.data)
+        shape = self.shape
+        return Tensor(y, "max_rows", ((self, lambda g: _scatter(shape, cells, g[0])),))
 
     def mean_rows(self) -> "Tensor":
         n, shape = self.shape[0], self.shape
-        return Tensor(self.data.mean(axis=0, keepdims=True), "mean_rows",
+        return Tensor(_mean_rows(self.data), "mean_rows",
                       ((self, lambda g: np.broadcast_to(g / n, shape)),))
 
     def sum(self) -> "Tensor":
@@ -196,6 +200,10 @@ def _identity(g: np.ndarray) -> np.ndarray:
     return g
 
 
+def _sum_rows(g: np.ndarray) -> np.ndarray:
+    return g.sum(axis=0, keepdims=True)
+
+
 def _topo_sort(node: Tensor, seen: set[int], order: list[Tensor]) -> None:
     """Append the nodes below ``node`` that require a gradient, parents first."""
     if id(node) in seen or node.grad is None:
@@ -221,26 +229,167 @@ def _scatter(shape: tuple[int, int], cells, values: np.ndarray) -> np.ndarray:
     return share
 
 
-def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack tensors vertically; all operands must share a column count."""
-    if not tensors:
+# ---- array kernels: each primitive's forward value, written once ----------------
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape != b.shape and (1, a.shape[1]) != b.shape and a.shape != (1, b.shape[1]):
+        raise ShapeError("add", a.shape, b.shape)
+    return a + b
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape != b.shape:
+        raise ShapeError("mul", a.shape, b.shape)
+    return a * b
+
+
+def _scale(x: np.ndarray, c: float) -> np.ndarray:
+    return x * c
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError("matmul", a.shape, b.shape)
+    return a @ b
+
+
+def _tanh(x: np.ndarray) -> np.ndarray:
+    return np.tanh(x)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # split by sign to avoid overflow in exp
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
+def _transpose(x: np.ndarray) -> np.ndarray:
+    return x.T.copy()
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _max_rows(x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Columnwise max across rows, and the cells it came from; ties resolve
+    to the lowest row index."""
+    cells = (np.argmax(x, axis=0), np.arange(x.shape[1]))
+    return x[cells].reshape(1, -1), cells
+
+
+def _mean_rows(x: np.ndarray) -> np.ndarray:
+    return x.mean(axis=0, keepdims=True)
+
+
+def _take_rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= x.shape[0]:
+        raise ShapeError("take_rows", x.shape, (idx.size,))
+    return x[idx].copy()
+
+
+def _concat_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    if not arrays:
         raise ShapeError("concat_rows")
-    cols = tensors[0].shape[1]
-    for t in tensors:
-        if t.shape[1] != cols:
-            raise ShapeError("concat_rows", tensors[0].shape, t.shape)
+    for a in arrays:
+        if a.shape[1] != arrays[0].shape[1]:
+            raise ShapeError("concat_rows", arrays[0].shape, a.shape)
+    return np.vstack(arrays)
+
+
+# ---- ops on Tensors or plain arrays ---------------------------------------------
+#
+# With no Tensor operand an op returns its kernel's ndarray and builds no
+# node; otherwise plain operands become gradient-free leaves and the op
+# builds the same node as the Tensor method.  Plain operands are 2-D
+# float64 arrays.
+
+
+def value(x: Tensor | np.ndarray) -> np.ndarray:
+    """The array a Tensor holds, or a plain array itself."""
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _node(x: Tensor | np.ndarray) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
+
+
+def add(a, b):
+    """a + b, for equal shapes or a (1, k) row broadcast across the other."""
+    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return _add(a, b)
+    return _node(a) + _node(b)
+
+
+def mul(a, b):
+    """Elementwise product of equal shapes."""
+    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return _mul(a, b)
+    return _node(a) * _node(b)
+
+
+def matmul(a, b):
+    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return _matmul(a, b)
+    return _node(a) @ _node(b)
+
+
+def scale(x, c: float):
+    return x.scale(c) if isinstance(x, Tensor) else _scale(x, float(c))
+
+
+def relu(x):
+    return x.relu() if isinstance(x, Tensor) else _relu(x)
+
+
+def tanh(x):
+    return x.tanh() if isinstance(x, Tensor) else _tanh(x)
+
+
+def sigmoid(x):
+    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(x)
+
+
+def transpose(x):
+    return x.transpose() if isinstance(x, Tensor) else _transpose(x)
+
+
+def softmax_rows(x):
+    return x.softmax_rows() if isinstance(x, Tensor) else _softmax_rows(x)
+
+
+def max_rows(x):
+    """Columnwise max across rows as a (1, k) row."""
+    return x.max_rows() if isinstance(x, Tensor) else _max_rows(x)[0]
+
+
+def mean_rows(x):
+    return x.mean_rows() if isinstance(x, Tensor) else _mean_rows(x)
+
+
+def concat_rows(tensors: Sequence):
+    """Stack tensors vertically; all operands must share a column count."""
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return _concat_rows(tensors)
+    tensors = [_node(t) for t in tensors]
     bounds = np.cumsum([0] + [t.shape[0] for t in tensors])
-    return Tensor(np.vstack([t.data for t in tensors]), "concat_rows",
+    return Tensor(_concat_rows([t.data for t in tensors]), "concat_rows",
                   tuple((t, lambda g, lo=lo, hi=hi: g[lo:hi])
                         for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:])))
 
 
-def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
+def take_rows(x, indices: Sequence[int]):
     """Gather rows of x by index (duplicates allowed); scatter-adds on backward."""
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= x.shape[0]:
-        raise ShapeError("take_rows", x.shape, (idx.size,))
-    return Tensor(x.data[idx].copy(), "take_rows",
+    if not isinstance(x, Tensor):
+        return _take_rows(x, idx)
+    return Tensor(_take_rows(x.data, idx), "take_rows",
                   ((x, lambda g: _scatter(x.shape, idx, g)),))
 
 

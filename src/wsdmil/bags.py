@@ -243,14 +243,23 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 
 def write_manifest(entries, path) -> None:
-    """Write entries as tab-separated rows with paths relative to ``path``."""
+    """Write entries as tab-separated rows with paths relative to ``path``.
+
+    As in ``read_manifest``, each distinct bag directory is resolved once
+    and the file name joined to it.  A bag outside the manifest's directory
+    keeps its path as given.
+    """
     path = Path(path)
     base = path.parent.resolve()
+    dirs: dict[Path, Path] = {}      # bag directory as given -> resolved
     lines = ["# slide_id\tbag_path\texpert\tnonexpert\tsplit"]
     for e in entries:
         bag_path = Path(e.bag_path)
+        folder = dirs.get(bag_path.parent)
+        if folder is None:
+            folder = dirs[bag_path.parent] = bag_path.parent.resolve()
         try:
-            rel = bag_path.resolve().relative_to(base)
+            rel = (folder / bag_path.name).relative_to(base)
         except ValueError:
             rel = bag_path
         non = "-" if e.nonexpert is None else str(e.nonexpert)
@@ -414,6 +423,7 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
     out_dir = Path(out_dir)
     bag_dir = out_dir / "bags"
     bag_dir.mkdir(parents=True, exist_ok=True)
+    resolved_dir = bag_dir.resolve()
     rng = np.random.default_rng(config.seed)
     protos = _prototypes(rng, config.feature_dim)
     prior = np.asarray(config.class_prior, dtype=np.float64)
@@ -488,7 +498,7 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
 
         bag = Bag(slide_id, features.astype(np.float32), coords)
         write_bag(bag, bag_dir / f"{slide_id}.bag")
-        entries.append(ManifestEntry(slide_id, (bag_dir / f"{slide_id}.bag").resolve(),
+        entries.append(ManifestEntry(slide_id, resolved_dir / f"{slide_id}.bag",
                                      expert, nonexpert, split_of[i]))
 
     manifest_path = out_dir / "manifest.tsv"

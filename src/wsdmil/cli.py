@@ -171,18 +171,23 @@ def _seed_mean_ci(y_true, preds_per_seed, metric_fn, n_resamples, seed):
     label and every seed's prediction for it.
 
     A slide's record holds its confusion cell ``4 * label + prediction`` for
-    each seed, offset by 16 per seed, so one bincount of a resample gives
-    every seed's confusion matrix.  Labels and predictions must lie in 0..3.
+    each seed, offset by 16 per seed.  A chunk of resamples is offset by
+    ``16 * seeds`` per resample, so one bincount gives every resample's
+    confusion matrix for every seed.  Labels and predictions must lie in
+    0..3.
     """
     seeds = len(preds_per_seed)
     records = (4 * np.asarray(y_true, dtype=np.int64)[:, None]
                + np.column_stack(preds_per_seed) + 16 * np.arange(seeds))
 
-    def metric(sample):
-        counts = np.bincount(sample.ravel(), minlength=16 * seeds)
-        return metric_fn(counts.reshape(seeds, 4, 4)).sum() / seeds
+    def metric(chunk):
+        rows = len(chunk)
+        cells = chunk.reshape(rows, -1) + 16 * seeds * np.arange(rows)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=16 * seeds * rows)
+        return metric_fn(counts.reshape(rows, seeds, 4, 4)).sum(axis=-1) / seeds
 
-    return bootstrap_ci(records, metric, n_resamples=n_resamples, seed=seed)
+    return bootstrap_ci(records, metric, n_resamples=n_resamples, seed=seed,
+                        stacked=True)
 
 
 def _score(models, samples, n_resamples, stats_seed):
@@ -440,7 +445,10 @@ def cmd_eval(args) -> int:
 def cmd_attn_map(args) -> int:
     params, mc = load_params(Path(args.params))
     bag = read_bag(args.bag)
-    output = forward_bag(params, mc, bag)
+    if mc.input_dim != bag.d:
+        raise ValueError(f"{args.params} has model input dim {mc.input_dim}, but "
+                         f"bag {args.bag} has feature dim {bag.d}")
+    output = forward_bag({k: p.data for k, p in params.items()}, mc, bag)
     pairs = extract_attention(output, bag)
     grid = heatmap_grid(pairs)
     out_prefix = Path(args.out_prefix)

@@ -192,7 +192,7 @@ class BootstrapResult:
 
 def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
                  n_resamples: int = 1000, level: float = 0.95,
-                 seed: int = 0) -> BootstrapResult:
+                 seed: int = 0, *, stacked: bool = False) -> BootstrapResult:
     """Resample slides with replacement and take percentile bounds of the
     metric.  Resamples where the metric is undefined (raises ValueError or
     ZeroDivisionError) are skipped and counted, with a warning past 1%.
@@ -201,6 +201,12 @@ def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
     first axis and handed to the metric as an array, one resample per call.
     Indices are drawn a chunk of resamples at a time; PCG64 gives the same
     indices as one draw of ``n`` per resample.
+
+    With ``stacked=True`` the metric takes a whole chunk, a ``(rows, n,
+    ...)`` stack of resamples, and returns its ``rows`` statistics; the
+    point estimate is its statistic of the one-resample stack
+    ``records[None]``.  Such a metric must be defined on every resample: a
+    ValueError propagates instead of skipping the resample.
     """
     records = np.asarray(records)
     if len(records) == 0:
@@ -209,7 +215,7 @@ def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
         raise ValueError("n_resamples must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    point = float(metric(records))
+    point = float(metric(records[None])[0] if stacked else metric(records))
     rng = np.random.default_rng(seed)
     n = len(records)
     rows = max(1, BOOTSTRAP_CHUNK // n)
@@ -217,6 +223,9 @@ def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
     skipped = 0
     for done in range(0, n_resamples, rows):
         chunk = records[rng.integers(0, n, size=(min(rows, n_resamples - done), n))]
+        if stacked:
+            stats.extend(metric(chunk))
+            continue
         for sample in chunk:
             try:
                 stats.append(float(metric(sample)))

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat_rows, take_rows
+from .autodiff import (Tensor, add, concat_rows, matmul, max_rows, mean_rows,
+                       mul, relu, scale, sigmoid, softmax_rows, take_rows,
+                       tanh, transpose, value)
 from .bags import Bag
 
 __all__ = [
@@ -62,17 +64,19 @@ class ModelConfig:
 class BagOutput:
     """Forward-pass result for one bag.
 
-    class_logits and wsd_prediction stay attached to the graph for loss
-    backprop; attention is a detached copy.  The feature leaf requires no
-    gradient, so only nodes computed from parameters get one.
+    On Tensor parameters, class_logits (1, 4) and wsd_prediction (1, 1) are
+    graph nodes for loss backprop; on plain-array parameters they are
+    ndarrays and no graph is built.  attention is always a detached ndarray.
+    The feature leaf requires no gradient, so only nodes computed from
+    parameters get one.
     """
 
-    class_logits: Tensor
+    class_logits: Tensor | np.ndarray
     attention: np.ndarray
-    wsd_prediction: Tensor | None = None
+    wsd_prediction: Tensor | np.ndarray | None = None
 
     def predicted_class(self) -> int:
-        return int(np.argmax(self.class_logits.data[0]))
+        return int(np.argmax(value(self.class_logits)[0]))
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
@@ -116,17 +120,27 @@ def init_model(config: ModelConfig) -> dict[str, Tensor]:
     return params
 
 
-def _check_dim(params: dict[str, Tensor], first_layer: str, features: np.ndarray):
-    want = params[first_layer].shape[0]
-    if features.shape[1] != want:
+def _features(params: dict, first_layer: str, features: np.ndarray):
+    """The bag's features as the forward's input: float64 (float32 widens
+    here, which is exact), as a gradient-free leaf when the parameters are
+    Tensors and as a plain array when they are arrays."""
+    weight = params[first_layer]
+    if features.shape[1] != weight.shape[0]:
         raise ValueError(f"bag feature dim {features.shape[1]} does not match "
-                         f"model input dim {want}")
+                         f"model input dim {weight.shape[0]}")
+    if isinstance(weight, Tensor):
+        return Tensor(features, name="features", requires_grad=False)
+    return np.asarray(features, dtype=np.float64)
 
 
-def _regress(params: dict[str, Tensor], pooled: Tensor) -> Tensor | None:
+def _linear(params: dict, layer: str, x):
+    return add(matmul(x, params[layer + ".w"]), params[layer + ".b"])
+
+
+def _regress(params: dict, pooled):
     if "reg.w" not in params:
         return None
-    return (pooled @ params["reg.w"] + params["reg.b"]).sigmoid()
+    return sigmoid(_linear(params, "reg", pooled))
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
@@ -141,39 +155,41 @@ def _minmax(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def forward_maxmil(params: dict[str, Tensor], features: np.ndarray) -> BagOutput:
+# Each head takes a name -> parameter dict of Tensors (training) or of plain
+# arrays (inference), and runs the same ops on either.
+
+
+def forward_maxmil(params: dict, features: np.ndarray) -> BagOutput:
     """Instance-level MLP with per-class max pooling of instance logits."""
-    _check_dim(params, "embed.w", features)
-    x = Tensor(features, name="features", requires_grad=False)  # float32 widens here
-    hidden = (x @ params["embed.w"] + params["embed.b"]).relu()   # (n, H)
-    inst_logits = hidden @ params["cls.w"] + params["cls.b"]      # (n, 4)
-    logits = inst_logits.max_rows()                               # (1, 4)
-    pooled = hidden.mean_rows()                                   # (1, H)
-    scores = inst_logits.data.max(axis=1)
+    x = _features(params, "embed.w", features)
+    hidden = relu(_linear(params, "embed", x))                   # (n, H)
+    inst_logits = _linear(params, "cls", hidden)                  # (n, 4)
+    logits = max_rows(inst_logits)                                # (1, 4)
+    pooled = mean_rows(hidden)                                    # (1, H)
+    scores = value(inst_logits).max(axis=1)
     return BagOutput(class_logits=logits,
                      attention=_minmax(scores),
                      wsd_prediction=_regress(params, pooled))
 
 
-def forward_abmil(params: dict[str, Tensor], features: np.ndarray,
+def forward_abmil(params: dict, features: np.ndarray,
                   gated: bool = False) -> BagOutput:
     """Attention pooling over embedded instances, optionally gated."""
-    _check_dim(params, "embed.w", features)
-    x = Tensor(features, name="features", requires_grad=False)  # float32 widens here
-    hidden = (x @ params["embed.w"] + params["embed.b"]).relu()   # (n, H)
-    branch = (hidden @ params["attn_v.w"]).tanh()                 # (n, L)
+    x = _features(params, "embed.w", features)
+    hidden = relu(_linear(params, "embed", x))                   # (n, H)
+    branch = tanh(matmul(hidden, params["attn_v.w"]))             # (n, L)
     if gated:
-        branch = branch * (hidden @ params["attn_u.w"]).sigmoid()
-    scores = branch @ params["attn_w.w"]                          # (n, 1)
-    attn = scores.transpose().softmax_rows()                      # (1, n)
-    z = attn @ hidden                                             # (1, H)
-    logits = z @ params["cls.w"] + params["cls.b"]                # (1, 4)
+        branch = mul(branch, sigmoid(matmul(hidden, params["attn_u.w"])))
+    scores = matmul(branch, params["attn_w.w"])                   # (n, 1)
+    attn = softmax_rows(transpose(scores))                        # (1, n)
+    z = matmul(attn, hidden)                                      # (1, H)
+    logits = _linear(params, "cls", z)                            # (1, 4)
     return BagOutput(class_logits=logits,
-                     attention=attn.data[0].copy(),
+                     attention=value(attn)[0].copy(),
                      wsd_prediction=_regress(params, z))
 
 
-def forward_dsmil(params: dict[str, Tensor], features: np.ndarray) -> BagOutput:
+def forward_dsmil(params: dict, features: np.ndarray) -> BagOutput:
     """Dual-stream head.
 
     Stream 1 scores instances with a linear classifier and max-pools.
@@ -181,35 +197,34 @@ def forward_dsmil(params: dict[str, Tensor], features: np.ndarray) -> BagOutput:
     all instances against its query, and classifies the attention-pooled
     value vectors per class.  Final logits average the two streams.
     """
-    _check_dim(params, "inst.w", features)
-    x = Tensor(features, name="features", requires_grad=False)  # float32 widens here
-    inst_logits = x @ params["inst.w"] + params["inst.b"]         # (n, 4)
-    queries = x @ params["query.w"] + params["query.b"]           # (n, L)
-    values = x @ params["value.w"] + params["value.b"]            # (n, H)
+    x = _features(params, "inst.w", features)
+    inst_logits = _linear(params, "inst", x)                      # (n, 4)
+    queries = _linear(params, "query", x)                         # (n, L)
+    values = _linear(params, "value", x)                          # (n, H)
 
-    crit = np.argmax(inst_logits.data, axis=0)                    # per class
+    crit = np.argmax(value(inst_logits), axis=0)                  # per class
     attn_rows = []
     bag_rows = []
     for c in range(N_CLASSES):
         q_crit = take_rows(queries, [int(crit[c])])               # (1, L)
-        scores = (queries @ q_crit.transpose()).transpose()       # (1, n)
-        attn_c = scores.softmax_rows()
+        scores = transpose(matmul(queries, transpose(q_crit)))    # (1, n)
+        attn_c = softmax_rows(scores)
         attn_rows.append(attn_c)
-        bag_rows.append(attn_c @ values)                          # (1, H)
+        bag_rows.append(matmul(attn_c, values))                   # (1, H)
     bag_embed = concat_rows(bag_rows)                             # (4, H)
-    ones = Tensor(np.ones((params["value.w"].shape[1], 1)), requires_grad=False)
-    bag_logits = ((bag_embed * params["bag_cls.w"]) @ ones).transpose() \
-        + params["bag_cls.b"]                                     # (1, 4)
-    logits = (inst_logits.max_rows() + bag_logits).scale(0.5)
+    ones = np.ones((params["value.w"].shape[1], 1))
+    bag_logits = add(transpose(matmul(mul(bag_embed, params["bag_cls.w"]), ones)),
+                     params["bag_cls.b"])                         # (1, 4)
+    logits = scale(add(max_rows(inst_logits), bag_logits), 0.5)
 
-    predicted = int(np.argmax(logits.data[0]))
-    pooled = bag_embed.mean_rows()                                # (1, H)
+    predicted = int(np.argmax(value(logits)[0]))
+    pooled = mean_rows(bag_embed)                                 # (1, H)
     return BagOutput(class_logits=logits,
-                     attention=attn_rows[predicted].data[0].copy(),
+                     attention=value(attn_rows[predicted])[0].copy(),
                      wsd_prediction=_regress(params, pooled))
 
 
-def forward_bag(params: dict[str, Tensor], config: ModelConfig, bag: Bag) -> BagOutput:
+def forward_bag(params: dict, config: ModelConfig, bag: Bag) -> BagOutput:
     """Dispatch a bag through the configured head."""
     if config.head_kind == "maxmil":
         return forward_maxmil(params, bag.features)

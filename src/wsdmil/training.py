@@ -209,13 +209,11 @@ def predict_classes(params: dict[str, Tensor], model_config: ModelConfig,
                     samples: list[Sample]) -> np.ndarray:
     """Argmax class per sample.
 
-    The forward passes run on gradient-free views of the parameters (same
-    arrays, no copy), so they build no gradient buffers and leave every
-    parameter's ``.grad`` as it was.
+    The forward passes run on the parameters' plain arrays (no copy), so
+    they build no graph and leave every parameter's ``.grad`` as it was.
     """
-    frozen = {k: Tensor(p.data, name=k, requires_grad=False)
-              for k, p in params.items()}
-    return np.array([forward_bag(frozen, model_config, s.bag).predicted_class()
+    arrays = {k: p.data for k, p in params.items()}
+    return np.array([forward_bag(arrays, model_config, s.bag).predicted_class()
                      for s in samples], dtype=np.int64)
 
 

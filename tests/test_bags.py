@@ -271,6 +271,34 @@ def test_manifest_bag_paths_match_a_full_resolve(tmp_path):
     assert got[3] == tmp_path.resolve() / "store" / "s3.bag"
 
 
+def test_write_manifest_follows_symlinked_bag_directories(tmp_path):
+    base = tmp_path / "data"
+    (base / "real").mkdir(parents=True)
+    (tmp_path / "store").mkdir()
+    (base / "inside").symlink_to(base / "real", target_is_directory=True)
+    (base / "outside").symlink_to(tmp_path / "store", target_is_directory=True)
+    (tmp_path / "alias").symlink_to(base / "real", target_is_directory=True)
+    paths = [base / "inside" / "s0.bag", base / "outside" / "s1.bag",
+             tmp_path / "alias" / "s2.bag", base / "inside" / "s3.bag",
+             base / "outside" / ".." / "s4.bag"]
+    entries = []
+    for i, path in enumerate(paths):
+        write_bag(sample_bag(seed=i), path)
+        entries.append(ManifestEntry(f"s{i}", path, parse_score("3+4"),
+                                     parse_score("3+4"), "train"))
+    manifest = base / "manifest.tsv"
+    write_manifest(entries, manifest)
+    written = [line.split("\t")[1] for line in manifest.read_text().splitlines()[1:]]
+    # the bag directory is followed: "outside/.." is tmp_path, not data, so
+    # s4 lies outside the manifest's directory and keeps its path as given
+    assert written == ["real/s0.bag", paths[1].as_posix(), "real/s2.bag",
+                       "real/s3.bag", paths[4].as_posix()]
+    back = read_manifest(manifest)
+    assert [e.bag_path for e in back] == [p.resolve() for p in paths]
+    assert read_bag(back[2].bag_path).features.tobytes() == \
+        sample_bag(seed=2).features.astype(np.float32).tobytes()
+
+
 def test_manifest_skips_comments_and_blank_lines(tmp_path):
     entries = manifest_entries(tmp_path, n=1)
     path = tmp_path / "manifest.tsv"

@@ -548,6 +548,21 @@ def test_attn_map_uniform_bag_is_mid_gray(baseline_run, tmp_path):
     assert grid == b"\x80\x80"
 
 
+def test_attn_map_rejects_bag_of_other_dim_naming_both_files(baseline_run, tmp_path,
+                                                            monkeypatch, capsys):
+    path = tmp_path / "narrow.bag"
+    write_bag(Bag(slide_id="narrow", features=np.zeros((3, 6)),
+                  coords=np.array([[0, 0], [0, 1], [1, 0]])), path)
+    archive = baseline_run.parent / "base_params_seed1.npz"
+    monkeypatch.setattr(cli, "forward_bag", None)  # a forward pass would fail
+    capsys.readouterr()
+    assert main(["attn-map", "--params", str(archive), "--bag", str(path),
+                 "--out-prefix", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == (f"data error: {archive} has model input dim "
+                                       f"8, but bag {path} has feature dim 6\n")
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_attn_map_missing_bag_is_data_error(baseline_run, tmp_path):
     assert main(["attn-map", "--params",
                  str(baseline_run.parent / "base_params_seed1.npz"),

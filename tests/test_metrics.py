@@ -301,6 +301,42 @@ def test_bootstrap_draws_the_same_resamples_as_one_draw_per_resample(n):
         assert sample.tolist() == rng.integers(0, n, size=n).tolist()
 
 
+@pytest.mark.parametrize("n", [5, 601, BOOTSTRAP_CHUNK + 1])
+def test_stacked_bootstrap_chunks_hold_the_per_resample_draws(n):
+    # two full chunks and a partial third, of (n, 2) records
+    n_resamples = 2 * max(1, BOOTSTRAP_CHUNK // n) + 3
+    records = np.arange(2 * n).reshape(n, 2)
+    per_resample, chunks = [], []
+
+    def record(sample):
+        per_resample.append(sample.copy())
+        return float(sample.sum())
+
+    def record_stack(chunk):
+        chunks.append(chunk.copy())
+        return chunk.sum(axis=(1, 2)).astype(np.float64)
+
+    plain = bootstrap_ci(records, record, n_resamples=n_resamples, seed=4)
+    stacked = bootstrap_ci(records, record_stack, n_resamples=n_resamples, seed=4,
+                           stacked=True)
+    rows = max(1, BOOTSTRAP_CHUNK // n)
+    # the point's one-resample stack, then one call per chunk
+    assert [len(c) for c in chunks] == [1] + [
+        min(rows, n_resamples - done) for done in range(0, n_resamples, rows)]
+    drawn = np.concatenate(chunks)
+    assert drawn.tobytes() == np.stack(per_resample).tobytes()
+    assert (stacked.point, stacked.low, stacked.high) == (plain.point, plain.low,
+                                                          plain.high)
+
+
+def test_stacked_bootstrap_propagates_an_undefined_metric():
+    def undefined(chunk):
+        raise ValueError("no samples")
+
+    with pytest.raises(ValueError, match="no samples"):
+        bootstrap_ci([1.0, 2.0], undefined, n_resamples=10, stacked=True)
+
+
 def test_bootstrap_result_offsets_are_signed():
     res = BootstrapResult(point=0.75, low=0.70, high=0.82)
     lo, hi = res.offsets()

@@ -241,6 +241,31 @@ def test_float32_bag_forward_equals_its_float64_copy_bitwise(head):
     assert a.wsd_prediction.data.tobytes() == b.wsd_prediction.data.tobytes()
 
 
+@pytest.mark.parametrize("head", HEAD_KINDS)
+@pytest.mark.parametrize("n, dtype", [(1, np.float64), (2, np.float64),
+                                      (9, np.float64), (1, np.float32),
+                                      (9, np.float32)])
+def test_plain_array_forward_equals_tensor_forward_bitwise(head, n, dtype):
+    mc = config(head, with_regression_head=True)
+    params = init_model(mc)
+    bag = random_bag(n=n, seed=16)
+    bag = Bag("b", bag.features.astype(dtype), bag.coords)
+    graph = forward_bag(params, mc, bag)
+    plain = forward_bag({k: p.data for k, p in params.items()}, mc, bag)
+    assert type(plain.class_logits) is np.ndarray
+    assert type(plain.wsd_prediction) is np.ndarray
+    assert plain.class_logits.tobytes() == graph.class_logits.data.tobytes()
+    assert plain.attention.tobytes() == graph.attention.tobytes()
+    assert plain.wsd_prediction.tobytes() == graph.wsd_prediction.data.tobytes()
+    assert plain.predicted_class() == graph.predicted_class()
+
+
+def test_plain_array_forward_rejects_wrong_feature_dim():
+    params = {k: p.data for k, p in init_model(config("dsmil")).items()}
+    with pytest.raises(ValueError, match="input dim"):
+        forward_dsmil(params, np.zeros((3, D + 2)))
+
+
 def test_predicted_class_is_argmax():
     params = init_model(config("abmil"))
     out = forward_bag(params, config("abmil"), random_bag(n=5, seed=12))

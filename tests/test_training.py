@@ -370,10 +370,15 @@ def test_predict_classes_builds_no_gradients(dataset, monkeypatch):
         return outputs[-1]
 
     monkeypatch.setattr(training, "forward_bag", recording_forward)
+    made = []
+    init = Tensor.__init__
+    monkeypatch.setattr(Tensor, "__init__",
+                        lambda self, *a, **kw: made.append(init(self, *a, **kw)))
     predict_classes(params, mc, dataset["val"])
     assert len(outputs) == len(dataset["val"])
-    assert all(o.class_logits.grad is None and o.wsd_prediction.grad is None
-               for o in outputs)
+    assert made == []
+    assert all(type(o.class_logits) is np.ndarray
+               and type(o.wsd_prediction) is np.ndarray for o in outputs)
     for k, p in params.items():
         assert p.grad is before[k][0]
         assert p.grad.tobytes() == before[k][1]
@@ -387,6 +392,18 @@ def test_predict_classes_matches_forward_on_live_parameters(dataset, head):
     live = [forward_bag(params, mc, s.bag).predicted_class()
             for s in dataset["val"]]
     assert predict_classes(params, mc, dataset["val"]).tolist() == live
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_predict_classes_handles_one_and_two_instance_bags(head):
+    mc = tiny_model(5, head=head, reg=True)
+    params = init_model(mc)
+    rng = np.random.default_rng(8)
+    samples = [training.Sample(Bag(f"b{n}", rng.standard_normal((n, 5)),
+                                   np.stack([np.arange(n)] * 2, axis=1)), 0)
+               for n in (1, 2, 7, 1)]
+    live = [forward_bag(params, mc, s.bag).predicted_class() for s in samples]
+    assert predict_classes(params, mc, samples).tolist() == live
 
 
 @pytest.mark.parametrize("head", HEAD_KINDS)
