@@ -1,18 +1,19 @@
 """Reverse-mode automatic differentiation over small dense matrices.
 
 Every value is a rank-2 float64 array (scalars are 1x1, vectors are rows).
-Operations build a fresh define-by-run graph; calling ``backward()`` on a
-scalar node sweeps it in reverse topological order and accumulates adjoints
-into ``.grad`` of every reachable node that requires a gradient; the others
-(input features, constants, and everything computed from them alone) have
-``grad`` None and get no adjoint computed.  ``grad_check`` provides the
-central-difference oracle used to validate all analytic gradients.
+Each primitive is one module-level op (``matmul``, ``linear``, ``relu``,
+...) that computes its value with numpy, checks its operand shapes and
+gives the vjp of each operand.  Operands are Tensors or plain 2-D float64
+arrays.  With no Tensor operand an op returns the value as an ndarray and
+builds no graph, which is how inference runs.  Otherwise it returns a node
+whose parents are its Tensor operands; plain operands are constants.
 
-The module-level ops (``matmul``, ``add``, ``relu``, ...) take Tensors or
-plain arrays.  On plain arrays alone they return the forward value as an
-ndarray and build no graph, which is how inference runs; with any Tensor
-operand they build the node the Tensor method builds.  Both paths compute
-the value with one array kernel per primitive, so they give the same bits.
+Calling ``backward()`` on a scalar node sweeps the graph in reverse
+topological order and accumulates adjoints into ``.grad`` of every
+reachable node that requires a gradient; the others (gradient-free leaves
+and everything computed from them alone) have ``grad`` None and get no
+adjoint computed.  ``grad_check`` provides the central-difference oracle
+used to validate all analytic gradients.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "add",
     "mul",
     "matmul",
+    "linear",
     "scale",
     "relu",
     "tanh",
@@ -39,6 +41,7 @@ __all__ = [
     "softmax_rows",
     "max_rows",
     "mean_rows",
+    "sum_all",
     "concat_rows",
     "take_rows",
     "cross_entropy",
@@ -75,27 +78,29 @@ def _as_matrix(data) -> np.ndarray:
 class Tensor:
     """A node in the differentiation graph holding a 2-D float64 value.
 
-    Leaves are created directly from data.  Every primitive below returns a
-    node whose parents are ``(parent, vjp)`` pairs, in operand order: ``vjp``
-    maps the node's adjoint to that parent's share of it.  A vjp holds
-    arrays and parents but never its own node, so a graph has no reference
-    cycles and is freed as soon as its output goes out of scope.  Gradients
-    accumulate, so callers zero parameter grads between backward passes.
+    Leaves are created directly from data.  The ops below build the other
+    nodes, whose parents are ``(parent, vjp)`` pairs in operand order:
+    ``vjp`` maps the node's adjoint to that parent's share of it.  A vjp
+    holds arrays and parents but never its own node, so a graph has no
+    reference cycles and is freed as soon as its output goes out of scope.
 
-    ``requires_grad`` applies to leaves only; a node with parents requires
-    a gradient when any parent does.  Each primitive's forward value comes
-    from the same array kernel that the module-level op of that name runs
-    on plain arrays.
+    ``requires_grad`` is given for leaves; a node with parents requires a
+    gradient when any parent does.  A leaf that requires one holds a zero
+    ``grad`` from the start, and gradients accumulate, so callers zero
+    parameter grads between backward passes.  An interior node's ``grad``
+    stays None until ``backward`` gives it its first share.  ``+``, ``*``
+    and ``@`` are the ops ``add``, ``mul`` and ``matmul``.
     """
 
-    __slots__ = ("data", "grad", "op", "name", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "op", "name", "_parents")
 
     def __init__(self, data, op: str = "leaf", parents: tuple = (),
                  name: str | None = None, requires_grad: bool = True):
         self.data = _as_matrix(data)
         if parents:
-            requires_grad = any(p.grad is not None for p, _ in parents)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+            requires_grad = any(p.requires_grad for p, _ in parents)
+        self.requires_grad = requires_grad
+        self.grad = np.zeros_like(self.data) if requires_grad and not parents else None
         self.op = op
         self.name = name
         self._parents = parents
@@ -104,88 +109,22 @@ class Tensor:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    @property
-    def requires_grad(self) -> bool:
-        return self.grad is not None
-
     def __repr__(self) -> str:
         label = self.name or self.op
         return f"Tensor({label}, shape={self.data.shape})"
-
-    # ---- elementwise arithmetic -------------------------------------------------
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        # equal shapes, or broadcast of a single row across matrix rows
-        y = _add(self.data, other.data)
-        return Tensor(y, "add", tuple((t, _identity if t.shape == y.shape else _sum_rows)
-                                      for t in (self, other)))
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        a, b = self.data, other.data
-        return Tensor(_mul(a, b), "mul",
-                      ((self, lambda g: g * b), (other, lambda g: g * a)))
-
-    def scale(self, c: float) -> "Tensor":
-        c = float(c)
-        return Tensor(_scale(self.data, c), "scale", ((self, lambda g: g * c),))
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        a, b = self.data, other.data
-        return Tensor(_matmul(a, b), "matmul",
-                      ((self, lambda g: g @ b.T), (other, lambda g: a.T @ g)))
-
-    # ---- elementwise nonlinearities ---------------------------------------------
-
-    def tanh(self) -> "Tensor":
-        y = _tanh(self.data)
-        return Tensor(y, "tanh", ((self, lambda g: g * (1.0 - y * y)),))
-
-    def sigmoid(self) -> "Tensor":
-        s = _sigmoid(self.data)
-        return Tensor(s, "sigmoid", ((self, lambda g: g * s * (1.0 - s)),))
-
-    def relu(self) -> "Tensor":
-        x = self.data
-        return Tensor(_relu(x), "relu", ((self, lambda g: g * (x > 0.0)),))
-
-    # ---- structural ops ----------------------------------------------------------
-
-    def transpose(self) -> "Tensor":
-        return Tensor(_transpose(self.data), "transpose", ((self, lambda g: g.T),))
-
-    # ---- reductions ----------------------------------------------------------------
-
-    def softmax_rows(self) -> "Tensor":
-        s = _softmax_rows(self.data)
-        return Tensor(s, "softmax_rows",
-                      ((self, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True))),))
-
-    def max_rows(self) -> "Tensor":
-        y, cells = _max_rows(self.data)
-        shape = self.shape
-        return Tensor(y, "max_rows", ((self, lambda g: _scatter(shape, cells, g[0])),))
-
-    def mean_rows(self) -> "Tensor":
-        n, shape = self.shape[0], self.shape
-        return Tensor(_mean_rows(self.data), "mean_rows",
-                      ((self, lambda g: np.broadcast_to(g / n, shape)),))
-
-    def sum(self) -> "Tensor":
-        return Tensor(np.array([[self.data.sum()]]), "sum",
-                      ((self, lambda g: g[0, 0]),))
-
-    # ---- backward sweep --------------------------------------------------------
 
     def backward(self) -> None:
         """Reverse-sweep from this node; requires a scalar (1x1) value.
 
         This is the one place that adds into ``.grad``: each node's parents,
         in operand order, receive ``vjp(node.grad)`` when they require a
-        gradient.  Nodes that require none are left out of the sweep.
+        gradient.  An interior parent's first share becomes a fresh grad of
+        its shape, ``share + 0.0``, the bits of adding it to zeros.  Nodes
+        that require no gradient are left out of the sweep.
         """
         if self.data.size != 1:
             raise ShapeError("backward", self.shape)
-        if self.grad is None:
+        if not self.requires_grad:
             raise ValueError("backward: the value requires no gradient")
         order: list[Tensor] = []
         _topo_sort(self, set(), order)
@@ -194,19 +133,14 @@ class Tensor:
             for parent, vjp in node._parents:
                 if parent.grad is not None:
                     parent.grad += vjp(node.grad)
-
-
-def _identity(g: np.ndarray) -> np.ndarray:
-    return g
-
-
-def _sum_rows(g: np.ndarray) -> np.ndarray:
-    return g.sum(axis=0, keepdims=True)
+                elif parent.requires_grad:
+                    parent.grad = np.add(vjp(node.grad), 0.0,
+                                         out=np.empty_like(parent.data))
 
 
 def _topo_sort(node: Tensor, seen: set[int], order: list[Tensor]) -> None:
     """Append the nodes below ``node`` that require a gradient, parents first."""
-    if id(node) in seen or node.grad is None:
+    if id(node) in seen or not node.requires_grad:
         return
     seen.add(id(node))
     for parent, _ in node._parents:
@@ -214,101 +148,31 @@ def _topo_sort(node: Tensor, seen: set[int], order: list[Tensor]) -> None:
     order.append(node)
 
 
+def _node(op: str, y: np.ndarray, *pairs) -> Tensor:
+    """``y`` as a node whose parents are the Tensor operands among the
+    ``(operand, vjp)`` pairs; a plain operand is a constant and gets no share."""
+    return Tensor(y, op, tuple(p for p in pairs if isinstance(p[0], Tensor)))
+
+
 def _scatter(shape: tuple[int, int], cells, values: np.ndarray) -> np.ndarray:
     """A zero adjoint of ``shape`` with ``values`` added at ``cells``.
 
-    ``backward`` then adds this share to the parent's grad.  That is bit
-    identical to adding ``values`` straight into the grad whenever no cell
-    is hit twice in one call: always for ``max_rows``, and for ``take_rows``
-    with distinct indices, as in every model head (DSMIL takes one row per
-    call).  Repeated indices sum their rows first, which can round
-    differently in the last bit.
+    Adding this share to a grad is bit identical to adding ``values``
+    straight into it whenever no cell is hit twice: always for ``max_rows``,
+    and for ``take_rows`` with distinct indices, as in every head (DSMIL
+    takes one row per call).  Repeated indices sum their rows first, which
+    can round differently in the last bit.
     """
     share = np.zeros(shape)
     np.add.at(share, cells, values)
     return share
 
 
-# ---- array kernels: each primitive's forward value, written once ----------------
-
-
-def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape and (1, a.shape[1]) != b.shape and a.shape != (1, b.shape[1]):
-        raise ShapeError("add", a.shape, b.shape)
-    return a + b
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeError("mul", a.shape, b.shape)
-    return a * b
-
-
-def _scale(x: np.ndarray, c: float) -> np.ndarray:
-    return x * c
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError("matmul", a.shape, b.shape)
-    return a @ b
-
-
-def _tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign to avoid overflow in exp
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def _transpose(x: np.ndarray) -> np.ndarray:
-    return x.T.copy()
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _max_rows(x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Columnwise max across rows, and the cells it came from; ties resolve
-    to the lowest row index."""
-    cells = (np.argmax(x, axis=0), np.arange(x.shape[1]))
-    return x[cells].reshape(1, -1), cells
-
-
-def _mean_rows(x: np.ndarray) -> np.ndarray:
-    return x.mean(axis=0, keepdims=True)
-
-
-def _take_rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= x.shape[0]:
-        raise ShapeError("take_rows", x.shape, (idx.size,))
-    return x[idx].copy()
-
-
-def _concat_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    if not arrays:
-        raise ShapeError("concat_rows")
-    for a in arrays:
-        if a.shape[1] != arrays[0].shape[1]:
-            raise ShapeError("concat_rows", arrays[0].shape, a.shape)
-    return np.vstack(arrays)
-
-
-# ---- ops on Tensors or plain arrays ---------------------------------------------
+# ---- ops -----------------------------------------------------------------------
 #
-# With no Tensor operand an op returns its kernel's ndarray and builds no
-# node; otherwise plain operands become gradient-free leaves and the op
-# builds the same node as the Tensor method.  Plain operands are 2-D
-# float64 arrays.
+# With a Tensor operand an op calls itself on the operands' arrays and wraps
+# that value in a node; otherwise, after one isinstance test per operand, it
+# checks the shapes and returns the plain value.
 
 
 def value(x: Tensor | np.ndarray) -> np.ndarray:
@@ -316,81 +180,145 @@ def value(x: Tensor | np.ndarray) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else x
 
 
-def _node(x: Tensor | np.ndarray) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
-
-
 def add(a, b):
-    """a + b, for equal shapes or a (1, k) row broadcast across the other."""
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return _add(a, b)
-    return _node(a) + _node(b)
+    """Elementwise sum of equal shapes."""
+    if isinstance(a, Tensor) or isinstance(b, Tensor):
+        return _node("add", add(value(a), value(b)), (a, lambda g: g), (b, lambda g: g))
+    if a.shape != b.shape:
+        raise ShapeError("add", a.shape, b.shape)
+    return a + b
 
 
 def mul(a, b):
     """Elementwise product of equal shapes."""
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return _mul(a, b)
-    return _node(a) * _node(b)
-
-
-def matmul(a, b):
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return _matmul(a, b)
-    return _node(a) @ _node(b)
+    if isinstance(a, Tensor) or isinstance(b, Tensor):
+        x, y = value(a), value(b)
+        return _node("mul", mul(x, y), (a, lambda g: g * y), (b, lambda g: g * x))
+    if a.shape != b.shape:
+        raise ShapeError("mul", a.shape, b.shape)
+    return a * b
 
 
 def scale(x, c: float):
-    return x.scale(c) if isinstance(x, Tensor) else _scale(x, float(c))
+    """x times the constant c."""
+    c = float(c)
+    if isinstance(x, Tensor):
+        return Tensor(scale(x.data, c), "scale", ((x, lambda g: g * c),))
+    return x * c
+
+
+def matmul(a, b):
+    if isinstance(a, Tensor) or isinstance(b, Tensor):
+        x, y = value(a), value(b)
+        return _node("matmul", matmul(x, y),
+                     (a, lambda g: g @ y.T), (b, lambda g: x.T @ g))
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError("matmul", a.shape, b.shape)
+    return a @ b
+
+
+def linear(x, w, b):
+    """x @ w + b, with the (1, k) bias row added to every row; one node."""
+    if isinstance(x, Tensor) or isinstance(w, Tensor) or isinstance(b, Tensor):
+        xa, wa = value(x), value(w)
+        return _node("linear", linear(xa, wa, value(b)),
+                     (x, lambda g: g @ wa.T), (w, lambda g: xa.T @ g),
+                     (b, lambda g: g.sum(axis=0, keepdims=True)))
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeError("linear", x.shape, w.shape, b.shape)
+    return x @ w + b
 
 
 def relu(x):
-    return x.relu() if isinstance(x, Tensor) else _relu(x)
+    if isinstance(x, Tensor):
+        a = x.data
+        return Tensor(relu(a), "relu", ((x, lambda g: g * (a > 0.0)),))
+    return np.maximum(x, 0.0)
 
 
 def tanh(x):
-    return x.tanh() if isinstance(x, Tensor) else _tanh(x)
+    if isinstance(x, Tensor):
+        y = tanh(x.data)
+        return Tensor(y, "tanh", ((x, lambda g: g * (1.0 - y * y)),))
+    return np.tanh(x)
 
 
 def sigmoid(x):
-    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid(x)
+    if isinstance(x, Tensor):
+        s = sigmoid(x.data)
+        return Tensor(s, "sigmoid", ((x, lambda g: g * s * (1.0 - s)),))
+    e = np.exp(-np.abs(x))          # split by sign to avoid overflow in exp
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def transpose(x):
-    return x.transpose() if isinstance(x, Tensor) else _transpose(x)
+    if isinstance(x, Tensor):
+        return Tensor(transpose(x.data), "transpose", ((x, lambda g: g.T),))
+    return x.T.copy()
 
 
 def softmax_rows(x):
-    return x.softmax_rows() if isinstance(x, Tensor) else _softmax_rows(x)
+    if isinstance(x, Tensor):
+        s = softmax_rows(x.data)
+        return Tensor(s, "softmax_rows",
+                      ((x, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True))),))
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def max_rows(x):
-    """Columnwise max across rows as a (1, k) row."""
-    return x.max_rows() if isinstance(x, Tensor) else _max_rows(x)[0]
+    """Columnwise max across rows as a (1, k) row; ties resolve to the
+    lowest row index, which alone receives the adjoint.  The value is read
+    at the argmax cells, which the vjp needs, so both paths compute it."""
+    a = value(x)
+    cells = (np.argmax(a, axis=0), np.arange(a.shape[1]))
+    y = a[cells].reshape(1, -1)
+    if not isinstance(x, Tensor):
+        return y
+    return Tensor(y, "max_rows", ((x, lambda g: _scatter(a.shape, cells, g[0])),))
 
 
 def mean_rows(x):
-    return x.mean_rows() if isinstance(x, Tensor) else _mean_rows(x)
+    if isinstance(x, Tensor):
+        a = x.data
+        return Tensor(mean_rows(a), "mean_rows",
+                      ((x, lambda g: np.broadcast_to(g / a.shape[0], a.shape)),))
+    return x.mean(axis=0, keepdims=True)
 
 
-def concat_rows(tensors: Sequence):
-    """Stack tensors vertically; all operands must share a column count."""
-    if not any(isinstance(t, Tensor) for t in tensors):
-        return _concat_rows(tensors)
-    tensors = [_node(t) for t in tensors]
-    bounds = np.cumsum([0] + [t.shape[0] for t in tensors])
-    return Tensor(_concat_rows([t.data for t in tensors]), "concat_rows",
-                  tuple((t, lambda g, lo=lo, hi=hi: g[lo:hi])
-                        for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:])))
+def sum_all(x):
+    """The sum of every entry, as a 1x1 value."""
+    if isinstance(x, Tensor):
+        return Tensor(sum_all(x.data), "sum", ((x, lambda g: g[0, 0]),))
+    return np.array([[x.sum()]])
+
+
+def concat_rows(operands: Sequence):
+    """Stack operands vertically; all must share a column count."""
+    if any(isinstance(t, Tensor) for t in operands):
+        arrays = [value(t) for t in operands]
+        bounds = np.cumsum([0] + [a.shape[0] for a in arrays])
+        return _node("concat_rows", concat_rows(arrays),
+                     *((t, lambda g, lo=lo, hi=hi: g[lo:hi])
+                       for t, lo, hi in zip(operands, bounds[:-1], bounds[1:])))
+    if len({a.shape[1] for a in operands}) != 1:
+        raise ShapeError("concat_rows", *(a.shape for a in operands))
+    return np.vstack(operands)
 
 
 def take_rows(x, indices: Sequence[int]):
     """Gather rows of x by index (duplicates allowed); scatter-adds on backward."""
     idx = np.asarray(indices, dtype=np.intp)
-    if not isinstance(x, Tensor):
-        return _take_rows(x, idx)
-    return Tensor(_take_rows(x.data, idx), "take_rows",
-                  ((x, lambda g: _scatter(x.shape, idx, g)),))
+    if isinstance(x, Tensor):
+        a = x.data
+        return Tensor(take_rows(a, idx), "take_rows",
+                      ((x, lambda g: _scatter(a.shape, idx, g)),))
+    if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= x.shape[0]:
+        raise ShapeError("take_rows", x.shape, (idx.size,))
+    return x[idx]
+
+
+Tensor.__add__, Tensor.__mul__, Tensor.__matmul__ = add, mul, matmul
 
 
 def cross_entropy(logits: Tensor, label: int) -> Tensor:

@@ -206,7 +206,7 @@ def read_manifest(path) -> list[ManifestEntry]:
     """
     path = Path(path)
     base = path.parent
-    dirs: dict[Path, Path] = {}      # bag directory as written -> resolved
+    dirs: dict[str, Path] = {}       # bag directory as written -> resolved
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -231,11 +231,11 @@ def read_manifest(path) -> list[ManifestEntry]:
         if split == "train" and nonexpert is None:
             raise ValueError(f"{path}:{lineno}: train slide {slide_id!r} "
                              f"lacks a non-expert score")
-        bag_path = base / bag_rel
-        folder = dirs.get(bag_path.parent)
+        bag_dir, name = os.path.split(bag_rel)
+        folder = dirs.get(bag_dir)
         if folder is None:
-            folder = dirs[bag_path.parent] = bag_path.parent.resolve()
-        entries.append(ManifestEntry(slide_id, folder / bag_path.name,
+            folder = dirs[bag_dir] = (base / bag_dir).resolve()
+        entries.append(ManifestEntry(slide_id, folder / name,
                                      expert, nonexpert, split))
     if not entries:
         warnings.warn(f"manifest {path} contains no entries")

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, concat_rows, matmul, max_rows, mean_rows,
-                       mul, relu, scale, sigmoid, softmax_rows, take_rows,
-                       tanh, transpose, value)
+from .autodiff import (Tensor, add, concat_rows, linear, matmul, max_rows,
+                       mean_rows, mul, relu, scale, sigmoid, softmax_rows,
+                       take_rows, tanh, transpose, value)
 from .bags import Bag
 
 __all__ = [
@@ -67,8 +67,6 @@ class BagOutput:
     On Tensor parameters, class_logits (1, 4) and wsd_prediction (1, 1) are
     graph nodes for loss backprop; on plain-array parameters they are
     ndarrays and no graph is built.  attention is always a detached ndarray.
-    The feature leaf requires no gradient, so only nodes computed from
-    parameters get one.
     """
 
     class_logits: Tensor | np.ndarray
@@ -120,21 +118,18 @@ def init_model(config: ModelConfig) -> dict[str, Tensor]:
     return params
 
 
-def _features(params: dict, first_layer: str, features: np.ndarray):
-    """The bag's features as the forward's input: float64 (float32 widens
-    here, which is exact), as a gradient-free leaf when the parameters are
-    Tensors and as a plain array when they are arrays."""
+def _features(params: dict, first_layer: str, features: np.ndarray) -> np.ndarray:
+    """The bag's features as the forward's input: a float64 constant (float32
+    widens here, which is exact) for Tensor and plain parameters alike."""
     weight = params[first_layer]
     if features.shape[1] != weight.shape[0]:
         raise ValueError(f"bag feature dim {features.shape[1]} does not match "
                          f"model input dim {weight.shape[0]}")
-    if isinstance(weight, Tensor):
-        return Tensor(features, name="features", requires_grad=False)
     return np.asarray(features, dtype=np.float64)
 
 
 def _linear(params: dict, layer: str, x):
-    return add(matmul(x, params[layer + ".w"]), params[layer + ".b"])
+    return linear(x, params[layer + ".w"], params[layer + ".b"])
 
 
 def _regress(params: dict, pooled):

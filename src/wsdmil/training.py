@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor, cross_entropy, squared_error
+from .autodiff import Tensor, add, cross_entropy, scale, squared_error
 from .bags import Bag, ManifestEntry, read_bag
 from .gleason import ConsensusRecord, WeightTriple, consensus_record, wsd_weight
 from .metrics import balanced_accuracy, confusion, weighted_f1
@@ -124,12 +124,12 @@ def loss_multitask(output: BagOutput, label: int, wsd_target: float,
         raise ValueError(f"difficulty target {wsd_target} outside [0, 1]")
     ce = cross_entropy(output.class_logits, label)
     reg = squared_error(output.wsd_prediction, wsd_target)
-    return ce.scale(alpha) + reg.scale(beta)
+    return add(scale(ce, alpha), scale(reg, beta))
 
 
 def loss_weighted(output: BagOutput, label: int, weight: float) -> Tensor:
     """Cross entropy scaled by the slide's consensus-derived weight."""
-    return cross_entropy(output.class_logits, label).scale(weight)
+    return scale(cross_entropy(output.class_logits, label), weight)
 
 
 def bag_loss(output: BagOutput, sample: Sample, config: TrainConfig) -> Tensor:
@@ -157,12 +157,15 @@ ADAM_EPS = 1e-8
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    work: dict[str, tuple[np.ndarray, np.ndarray]]  # scratch for the update
     t: int = 0
 
 
 def init_adam(params: dict[str, Tensor]) -> AdamState:
     return AdamState(m={k: np.zeros_like(p.data) for k, p in params.items()},
-                     v={k: np.zeros_like(p.data) for k, p in params.items()})
+                     v={k: np.zeros_like(p.data) for k, p in params.items()},
+                     work={k: (np.empty_like(p.data), np.empty_like(p.data))
+                           for k, p in params.items()})
 
 
 def adam_step(state: AdamState, params: dict[str, Tensor], lr: float) -> None:
@@ -174,13 +177,16 @@ def adam_step(state: AdamState, params: dict[str, Tensor], lr: float) -> None:
         g = p.grad
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in parameter {name}")
-        m = state.m[name]
-        v = state.v[name]
+        m, v, (a, b) = state.m[name], state.v[name], state.work[name]
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g^2
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=a), out=a)
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order
+        np.multiply(lr, np.divide(m, c1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPS, out=b)
+        p.data -= np.divide(a, b, out=a)
 
 
 # ---- training loop ----------------------------------------------------------------

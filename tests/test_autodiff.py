@@ -8,11 +8,24 @@ from wsdmil.autodiff import (
     GradCheckError,
     ShapeError,
     Tensor,
+    add,
     concat_rows,
     cross_entropy,
     grad_check,
+    linear,
+    matmul,
+    max_rows,
+    mean_rows,
+    mul,
+    relu,
+    scale,
+    sigmoid,
+    softmax_rows,
     squared_error,
+    sum_all,
     take_rows,
+    tanh,
+    transpose,
 )
 
 
@@ -23,31 +36,31 @@ def test_matmul_of_ones():
 
 
 def test_softmax_of_zeros_is_uniform():
-    s = Tensor(np.zeros((1, 3))).softmax_rows()
+    s = softmax_rows(Tensor(np.zeros((1, 3))))
     assert_allclose(s.data, np.full((1, 3), 1.0 / 3.0))
 
 
 def test_tanh_of_zero_is_zero():
-    assert_allclose(Tensor(np.zeros((2, 2))).tanh().data, np.zeros((2, 2)))
+    assert_allclose(tanh(Tensor(np.zeros((2, 2)))).data, np.zeros((2, 2)))
 
 
 def test_softmax_rows_sum_to_one_and_positive():
     rng = np.random.default_rng(0)
     x = Tensor(rng.uniform(-6, 6, size=(7, 5)))
-    s = x.softmax_rows()
+    s = softmax_rows(x)
     assert np.abs(s.data.sum(axis=1) - 1.0).max() < 1e-12
     assert (s.data > 0).all()
 
 
 def test_sum_backward_is_ones():
     x = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
-    x.sum().backward()
+    sum_all(x).backward()
     assert_allclose(x.grad, np.ones((3, 4)))
 
 
 def test_dot_with_self_gradient_is_2x():
     x = Tensor([[1.0, 2.0]])
-    (x * x).sum().backward()
+    sum_all(x * x).backward()
     assert_allclose(x.grad, [[2.0, 4.0]])
 
 
@@ -67,25 +80,27 @@ def test_cross_entropy_value_matches_logsumexp():
 
 def test_max_rows_ties_route_gradient_to_first_row():
     x = Tensor(np.array([[2.0, 1.0], [2.0, 3.0], [2.0, 3.0]]))
-    x.max_rows().sum().backward()
+    sum_all(max_rows(x)).backward()
     assert_allclose(x.grad, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 def test_forward_is_deterministic():
     x = np.random.default_rng(3).normal(size=(4, 4))
-    a = (Tensor(x).tanh() @ Tensor(x)).softmax_rows()
-    b = (Tensor(x).tanh() @ Tensor(x)).softmax_rows()
+    a = softmax_rows(tanh(Tensor(x)) @ Tensor(x))
+    b = softmax_rows(tanh(Tensor(x)) @ Tensor(x))
     assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_scalar_mul_and_broadcast_add():
     x = Tensor(np.arange(6.0).reshape(2, 3))
+    eye = Tensor(np.eye(3))
     row = Tensor([[1.0, 2.0, 3.0]])
-    out = (x + row).scale(2.0)
+    out = scale(linear(x, eye, row), 2.0)
     assert_allclose(out.data, (np.arange(6.0).reshape(2, 3) + [1, 2, 3]) * 2)
-    out.sum().backward()
+    sum_all(out).backward()
     assert_allclose(x.grad, np.full((2, 3), 2.0))
     assert_allclose(row.grad, [[4.0, 4.0, 4.0]])
+    assert_allclose(eye.grad, np.repeat([[6.0], [10.0], [14.0]], 3, axis=1))
 
 
 def test_shape_errors_name_the_primitive():
@@ -93,6 +108,12 @@ def test_shape_errors_name_the_primitive():
         Tensor(np.ones((2, 3))) @ Tensor(np.ones((2, 3)))
     with pytest.raises(ShapeError, match="add"):
         Tensor(np.ones((2, 3))) + Tensor(np.ones((3, 2)))
+    with pytest.raises(ShapeError, match="add"):
+        Tensor(np.ones((2, 3))) + Tensor(np.ones((1, 3)))
+    with pytest.raises(ShapeError, match="linear"):
+        linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), np.ones((2, 4)))
+    with pytest.raises(ShapeError, match="linear"):
+        linear(np.ones((2, 3)), np.ones((2, 4)), np.ones((1, 4)))
     with pytest.raises(ShapeError, match="backward"):
         Tensor(np.ones((2, 2))).backward()
     with pytest.raises(ShapeError):
@@ -106,7 +127,7 @@ def test_shape_errors_name_the_primitive():
 def _contract(out: Tensor, seed: int) -> Tensor:
     """Reduce any output to a scalar with a fixed random weighting."""
     c = Tensor(np.random.default_rng(seed).uniform(0.5, 1.5, size=out.shape))
-    return (out * c).sum()
+    return sum_all(out * c)
 
 
 # Closures exercising every primitive; inputs stay in [-2, 2] and clear of
@@ -119,7 +140,7 @@ def _primitive_cases():
 
     a, b = mk((3, 4)), mk((3, 4))
     m1, m2 = mk((3, 4)), mk((4, 2))
-    row = mk((1, 4))
+    row = mk((1, 2))
     safe = Tensor(np.sign(rng.normal(size=(3, 4))) * rng.uniform(0.25, 2.0, (3, 4)))
     margins = mk((5, 3))
     margins.data[np.argmax(margins.data, axis=0), np.arange(3)] += 0.5
@@ -131,17 +152,17 @@ def _primitive_cases():
     return [
         ("matmul", [m1, m2], lambda: _contract(m1 @ m2, 1)),
         ("add", [a, b], lambda: _contract(a + b, 2)),
-        ("add_row_broadcast", [a, row], lambda: _contract(a + row, 3)),
+        ("linear", [m1, m2, row], lambda: _contract(linear(m1, m2, row), 3)),
         ("mul", [a, b], lambda: _contract(a * b, 5)),
-        ("scale", [a], lambda: _contract(a.scale(-1.7), 6)),
-        ("tanh", [a], lambda: _contract(a.tanh(), 7)),
-        ("sigmoid", [a], lambda: _contract(a.sigmoid(), 8)),
-        ("relu", [safe], lambda: _contract(safe.relu(), 9)),
-        ("softmax_rows", [a], lambda: _contract(a.softmax_rows(), 11)),
-        ("max_rows", [margins], lambda: _contract(margins.max_rows(), 12)),
-        ("mean_rows", [a], lambda: _contract(a.mean_rows(), 13)),
-        ("sum", [a], lambda: a.sum()),
-        ("transpose", [a], lambda: _contract(a.transpose(), 14)),
+        ("scale", [a], lambda: _contract(scale(a, -1.7), 6)),
+        ("tanh", [a], lambda: _contract(tanh(a), 7)),
+        ("sigmoid", [a], lambda: _contract(sigmoid(a), 8)),
+        ("relu", [safe], lambda: _contract(relu(safe), 9)),
+        ("softmax_rows", [a], lambda: _contract(softmax_rows(a), 11)),
+        ("max_rows", [margins], lambda: _contract(max_rows(margins), 12)),
+        ("mean_rows", [a], lambda: _contract(mean_rows(a), 13)),
+        ("sum", [a], lambda: sum_all(a)),
+        ("transpose", [a], lambda: _contract(transpose(a), 14)),
         ("concat_rows", [c1, c2, c3],
          lambda: _contract(concat_rows([c1, c2, c3]), 15)),
         ("take_rows", [gather],
@@ -163,7 +184,7 @@ def test_grad_check_linear_mse_model():
     w = Tensor(rng.normal(size=(1, 6)), name="w")
     x = Tensor(rng.normal(size=(1, 6)))
 
-    report = grad_check(lambda: squared_error((w * x).sum(), 1.25), [w], epsilon=1e-5)
+    report = grad_check(lambda: squared_error(sum_all(w * x), 1.25), [w], epsilon=1e-5)
     assert report.max_rel_error < 1e-7
 
 
@@ -181,8 +202,8 @@ def test_grad_check_rejects_non_finite_loss():
 
 def test_gradients_accumulate_across_backward_calls():
     x = Tensor([[1.0, 2.0]])
-    x.sum().backward()
-    x.sum().backward()
+    sum_all(x).backward()
+    sum_all(x).backward()
     assert_allclose(x.grad, [[2.0, 2.0]])
 
 
@@ -190,13 +211,13 @@ def test_gradients_accumulate_across_backward_calls():
                          ids=["add", "concat_rows"])
 def test_operand_used_twice_receives_both_shares(op):
     x = Tensor([[1.0, -2.0, 0.5]])
-    op(x).sum().backward()
+    sum_all(op(x)).backward()
     assert x.grad.tolist() == [[2.0, 2.0, 2.0]]
 
 
 def test_take_rows_repeated_indices_scatter_exact_counts():
     x = Tensor(np.zeros((4, 3)))
-    take_rows(x, [2, 0, 2, 3, 2]).sum().backward()
+    sum_all(take_rows(x, [2, 0, 2, 3, 2])).backward()
     assert x.grad.tolist() == [[1.0] * 3, [0.0] * 3, [3.0] * 3, [1.0] * 3]
 
 
@@ -216,7 +237,7 @@ def test_gradient_free_leaf_has_no_grad_after_backward():
     out = x @ w
     assert x.grad is None and not x.requires_grad
     assert w.requires_grad and out.requires_grad
-    out.sum().backward()
+    sum_all(out).backward()
     assert x.grad is None
     assert_allclose(w.grad, np.repeat(x.data.sum(axis=0, keepdims=True).T, 2, axis=1))
 
@@ -224,16 +245,17 @@ def test_gradient_free_leaf_has_no_grad_after_backward():
 def test_node_requires_grad_when_any_parent_does():
     free = Tensor(np.ones((2, 2)), requires_grad=False)
     live = Tensor(np.ones((2, 2)))
-    assert (free + free).grad is None
-    assert (free * free).tanh().grad is None
+    assert not (free + free).requires_grad
+    assert not tanh(mul(free, free)).requires_grad
     assert (free + live).requires_grad
     assert concat_rows([free, live]).requires_grad
+    assert linear(free, free, Tensor(np.ones((1, 2)))).requires_grad
 
 
 def test_backward_from_gradient_free_value_is_rejected():
     x = Tensor(np.ones((2, 2)), requires_grad=False)
     with pytest.raises(ValueError, match="requires no gradient"):
-        x.sum().backward()
+        sum_all(x).backward()
 
 
 def test_gradient_free_view_shares_the_array():
@@ -243,21 +265,21 @@ def test_gradient_free_view_shares_the_array():
 
 # (name, op over the operands, operand shapes); every primitive appears
 _OPS = [
-    ("matmul", lambda a, b: a @ b, [(3, 4), (4, 2)]),
-    ("add", lambda a, b: a + b, [(3, 4), (3, 4)]),
-    ("add_row_broadcast", lambda a, b: a + b, [(3, 4), (1, 4)]),
-    ("add_row_broadcast_left", lambda a, b: a + b, [(1, 4), (3, 4)]),
-    ("mul", lambda a, b: a * b, [(3, 4), (3, 4)]),
-    ("mul_self", lambda a: a * a, [(3, 4)]),
-    ("scale", lambda a: a.scale(-1.7), [(3, 4)]),
-    ("tanh", lambda a: a.tanh(), [(3, 4)]),
-    ("sigmoid", lambda a: a.sigmoid(), [(3, 4)]),
-    ("relu", lambda a: a.relu(), [(3, 4)]),
-    ("softmax_rows", lambda a: a.softmax_rows(), [(3, 4)]),
-    ("max_rows", lambda a: a.max_rows(), [(5, 3)]),
-    ("mean_rows", lambda a: a.mean_rows(), [(3, 4)]),
-    ("sum", lambda a: a.sum(), [(3, 4)]),
-    ("transpose", lambda a: a.transpose(), [(3, 4)]),
+    ("matmul", matmul, [(3, 4), (4, 2)]),
+    ("add", add, [(3, 4), (3, 4)]),
+    ("linear", linear, [(3, 4), (4, 2), (1, 2)]),
+    ("linear_one_row", linear, [(1, 4), (4, 2), (1, 2)]),
+    ("mul", mul, [(3, 4), (3, 4)]),
+    ("mul_self", lambda a: mul(a, a), [(3, 4)]),
+    ("scale", lambda a: scale(a, -1.7), [(3, 4)]),
+    ("tanh", tanh, [(3, 4)]),
+    ("sigmoid", sigmoid, [(3, 4)]),
+    ("relu", relu, [(3, 4)]),
+    ("softmax_rows", softmax_rows, [(3, 4)]),
+    ("max_rows", max_rows, [(5, 3)]),
+    ("mean_rows", mean_rows, [(3, 4)]),
+    ("sum", sum_all, [(3, 4)]),
+    ("transpose", transpose, [(3, 4)]),
     ("concat_rows", lambda a, b, c: concat_rows([a, b, c]),
      [(2, 3), (1, 3), (3, 3)]),
     ("take_rows", lambda a: take_rows(a, [2, 0, 2, 3]), [(4, 3)]),
@@ -267,11 +289,11 @@ _OPS = [
 
 
 def _grads(op, arrays, weight, free):
-    """Grads of the parameters of (op(operands) * weight).sum(), where
+    """Grads of the parameters of sum_all(op(operands) * weight), where
     operand i is gradient-free when free[i] and weight is a parameter."""
     operands = [Tensor(a, requires_grad=not f) for a, f in zip(arrays, free)]
     w = Tensor(weight)
-    (op(*operands) * w).sum().backward()
+    sum_all(op(*operands) * w).backward()
     return [None if t.grad is None else t.grad.copy() for t in operands], w.grad
 
 
@@ -290,3 +312,67 @@ def test_gradient_free_operands_leave_parameter_grads_bit_identical(name, op, sh
                 assert g is None
             else:
                 assert g.tobytes() == ref.tobytes()
+
+
+# ---- plain operands are constants ----------------------------------------------
+
+# (name, op, operand shapes); each case is run with one operand a plain array
+_MIXED = [
+    ("matmul", matmul, [(3, 4), (4, 2)]),
+    ("add", add, [(3, 4), (3, 4)]),
+    ("mul", mul, [(3, 4), (3, 4)]),
+    ("linear", linear, [(3, 4), (4, 2), (1, 2)]),
+    ("concat_rows", lambda *xs: concat_rows(xs), [(2, 3), (1, 3)]),
+]
+
+
+@pytest.mark.parametrize("name,op,shapes", _MIXED, ids=[c[0] for c in _MIXED])
+def test_plain_operand_is_a_constant_with_the_bits_of_a_gradient_free_leaf(
+        name, op, shapes):
+    rng = np.random.default_rng(len(name) + 100)
+    arrays = [rng.uniform(-2.0, 2.0, size=s) for s in shapes]
+    for plain in range(len(arrays)):
+        mixed = [a if i == plain else Tensor(a) for i, a in enumerate(arrays)]
+        node = op(*mixed)
+        assert [p for p, _ in node._parents] == [t for i, t in enumerate(mixed)
+                                                 if i != plain]
+        sum_all(node).backward()
+
+        leaves = [Tensor(a, requires_grad=i != plain) for i, a in enumerate(arrays)]
+        ref = op(*leaves)
+        sum_all(ref).backward()
+        assert node.data.tobytes() == ref.data.tobytes()
+        for i in range(len(arrays)):
+            if i != plain:
+                assert mixed[i].grad.tobytes() == leaves[i].grad.tobytes()
+
+
+# ---- lazy interior gradients -----------------------------------------------------
+
+
+def test_interior_grads_are_made_by_backward_with_the_node_shape():
+    w = Tensor(np.random.default_rng(5).normal(size=(3, 4)))
+    h = tanh(w)
+    total = sum_all(h)
+    assert h.requires_grad and h.grad is None and total.grad is None
+    total.backward()
+    # sum's share is a scalar and cross entropy's a (k,) row: each grad
+    # still takes its node's shape
+    assert h.grad.shape == (3, 4) and h.grad.tolist() == [[1.0] * 4] * 3
+    row = tanh(Tensor(np.zeros((1, 4))))
+    cross_entropy(row, 1).backward()
+    assert row.grad.shape == (1, 4)
+    assert_allclose(row.grad, [[0.25, -0.75, 0.25, 0.25]], atol=1e-15)
+
+
+def test_first_share_is_copied_and_negative_zero_becomes_positive():
+    w = Tensor(np.ones((2, 2)))
+    a, b = tanh(w), relu(w)
+    out = add(a, b)
+    # identity shares: neither operand may alias the sum's grad or the other's
+    sum_all(out).backward()
+    for x, y in ((a, out), (b, out), (a, b)):
+        assert not np.shares_memory(x.grad, y.grad)
+    h = tanh(w)
+    sum_all(mul(h, np.full((2, 2), -0.0))).backward()
+    assert not np.signbit(h.grad).any()

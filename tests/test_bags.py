@@ -271,6 +271,24 @@ def test_manifest_bag_paths_match_a_full_resolve(tmp_path):
     assert got[3] == tmp_path.resolve() / "store" / "s3.bag"
 
 
+def test_manifest_bag_paths_of_dotted_nested_and_absolute_rows(tmp_path):
+    base = tmp_path / "data"
+    (base / "sub" / "deeper").mkdir(parents=True)
+    (tmp_path / "elsewhere").mkdir()
+    (base / "alias").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+    rels = ["s0.bag", "./s1.bag", "sub/s2.bag", "./sub/s3.bag", "sub/deeper/s4.bag",
+            "sub//s5.bag", "sub/./deeper/s6.bag", "sub/../s7.bag", "alias/s8.bag",
+            str(tmp_path / "elsewhere" / "s9.bag"), str(base / "alias" / "s10.bag"),
+            "./sub/s11.bag"]
+    manifest = base / "manifest.tsv"
+    manifest.write_text("".join(f"s{i}\t{rel}\t3+4\t3+4\ttrain\n"
+                                for i, rel in enumerate(rels)))
+    got = [e.bag_path for e in read_manifest(manifest)]
+    # each directory resolved, each file name joined as written
+    assert got == [(base / rel).parent.resolve() / (base / rel).name for rel in rels]
+    assert got[9] == got[10].parent / "s9.bag"
+
+
 def test_write_manifest_follows_symlinked_bag_directories(tmp_path):
     base = tmp_path / "data"
     (base / "real").mkdir(parents=True)

@@ -384,6 +384,38 @@ def test_predict_classes_builds_no_gradients(dataset, monkeypatch):
         assert p.grad.tobytes() == before[k][1]
 
 
+# Graph nodes one training step makes, per head and objective: one node per
+# primitive applied to a parameter or to a value computed from one.  Bag
+# features and DSMIL's ones column are constants, and each x @ W + b is a
+# single linear node.
+NODES_PER_STEP = {
+    ("maxmil", "baseline"): 6, ("maxmil", "multitask"): 12,
+    ("abmil", "baseline"): 10, ("abmil", "multitask"): 16,
+    ("gated_abmil", "baseline"): 13, ("gated_abmil", "multitask"): 19,
+    ("dsmil", "baseline"): 37, ("dsmil", "multitask"): 43,
+}
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+@pytest.mark.parametrize("method", ["baseline", "multitask"])
+def test_tensor_constructions_per_training_step(dataset, monkeypatch, head, method):
+    mc = tiny_model(dataset["dim"], head=head, reg=method == "multitask")
+    params = init_model(mc)
+    state = init_adam(params)
+    sample = dataset["train"][0]
+    made = []
+    init = Tensor.__init__
+    monkeypatch.setattr(Tensor, "__init__",
+                        lambda self, *a, **kw: made.append(init(self, *a, **kw)))
+    loss = bag_loss(forward_bag(params, mc, sample.bag), sample,
+                    TrainConfig(method=method))
+    for p in params.values():
+        p.grad[...] = 0.0
+    loss.backward()
+    adam_step(state, params, 1e-3)
+    assert len(made) == NODES_PER_STEP[head, method]
+
+
 @pytest.mark.parametrize("head", HEAD_KINDS)
 def test_predict_classes_matches_forward_on_live_parameters(dataset, head):
     mc = tiny_model(dataset["dim"], head=head, reg=True)
