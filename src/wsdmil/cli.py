@@ -9,6 +9,7 @@ error, 4 numeric failure during training.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import replace
@@ -76,6 +77,15 @@ def _parse_point(text: str, arity: int) -> tuple[float, ...]:
     return point
 
 
+def _check_counts(args, *flags: str) -> None:
+    """Reject a resample or permutation count below one before any file is
+    read."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 1:
+            raise UsageError(f"--{flag} must be >= 1, got {value}")
+
+
 def _data_root(args) -> Path:
     root = args.data or os.environ.get(DATA_ROOT_ENV)
     if not root:
@@ -85,10 +95,14 @@ def _data_root(args) -> Path:
 
 def _load_samples(manifest_path: Path, *splits: str):
     """Samples of each requested split; none of them may be empty, and all
-    bags must share one feature dim."""
+    bags must share one feature dim.  The splits load in the order given,
+    as one run of ``samples_from_entries``, so its resident budget covers
+    them all."""
     entries = read_manifest(manifest_path)
-    samples = {split: samples_from_entries(split_bags(entries, split))
-               for split in splits}
+    per_split = [split_bags(entries, split) for split in splits]
+    loaded = iter(samples_from_entries([e for es in per_split for e in es]))
+    samples = {split: list(itertools.islice(loaded, len(es)))
+               for split, es in zip(splits, per_split)}
     empty = [split for split in splits if not samples[split]]
     if empty:
         raise ValueError(f"no {'/'.join(empty)} slides in {manifest_path}")
@@ -204,6 +218,7 @@ def _score(models, samples, n_resamples, stats_seed):
 
 
 def cmd_train(args) -> int:
+    _check_counts(args, "bootstrap")
     weights = None
     if args.weights:
         weights = _config(WeightTriple, *_parse_point(args.weights, 3),
@@ -368,6 +383,7 @@ def _load_system(target: Path, manifest_path: Path | None):
 
 
 def cmd_eval(args) -> int:
+    _check_counts(args, "bootstrap", "permutations")
     manifest_path = None
     if args.manifest:
         manifest_path = Path(args.manifest)

@@ -12,6 +12,7 @@ training trajectories to the last bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +29,8 @@ __all__ = [
     "DEFAULT_WEIGHT_GRID",
     "NumericError",
     "TrainConfig",
+    "RESIDENT_BYTES",
+    "BagOnDisk",
     "Sample",
     "EpochStats",
     "TrainResult",
@@ -87,23 +90,72 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0 and epochs >= 1")
 
 
+# Feature bytes one call of samples_from_entries keeps in memory; every
+# other bag is read again where it is used.
+RESIDENT_BYTES = 16 * 2**20
+
+
+@dataclass(frozen=True)
+class BagOnDisk:
+    """A validated bag that is not kept in memory: its file, slide id and
+    the shape its load saw."""
+
+    path: Path
+    slide_id: str
+    n: int
+    d: int
+
+
 @dataclass
 class Sample:
-    """One slide ready for training or evaluation."""
+    """One slide ready for training or evaluation.
 
-    bag: Bag
+    ``bag`` is the slide's ``Bag`` while it is resident, or a ``BagOnDisk``
+    that holds no features.  Either way it gives the slide id and the
+    feature dim; ``load`` gives the features.
+    """
+
+    bag: Bag | BagOnDisk
     label: int
     record: ConsensusRecord | None = None
 
+    def load(self) -> Bag:
+        """The resident bag, or a fresh read of a streamed one, which must
+        still pass validation and have the shape its load saw."""
+        ref = self.bag
+        if isinstance(ref, Bag):
+            return ref
+        try:
+            bag = read_bag(ref.path, ref.slide_id)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"bag file {ref.path} changed on disk during "
+                             f"the run: {exc}") from exc
+        if (bag.n, bag.d) != (ref.n, ref.d):
+            raise ValueError(f"bag file {ref.path} changed on disk during the "
+                             f"run: it holds {bag.n} x {bag.d} features, its "
+                             f"load saw {ref.n} x {ref.d}")
+        return bag
+
 
 def samples_from_entries(entries: list[ManifestEntry]) -> list[Sample]:
-    """Load bags from disk and attach labels and consensus records."""
+    """Load and validate every bag, and attach labels and consensus records.
+
+    In entry order, a bag stays resident while the features kept so far
+    total at most ``RESIDENT_BYTES``; every other sample keeps a
+    ``BagOnDisk`` and reads its bag again at use.
+    """
     samples = []
+    resident = 0
     for e in entries:
         record = None
         if e.nonexpert is not None:
             record = consensus_record(e.slide_id, e.expert, e.nonexpert)
-        samples.append(Sample(read_bag(e.bag_path, e.slide_id), e.label(), record))
+        bag = read_bag(e.bag_path, e.slide_id)
+        if resident + bag.features.nbytes <= RESIDENT_BYTES:
+            resident += bag.features.nbytes
+        else:
+            bag = BagOnDisk(e.bag_path, bag.slide_id, bag.n, bag.d)
+        samples.append(Sample(bag, e.label(), record))
     return samples
 
 
@@ -217,9 +269,10 @@ def predict_classes(params: dict[str, Tensor], model_config: ModelConfig,
 
     The forward passes run on the parameters' plain arrays (no copy), so
     they build no graph and leave every parameter's ``.grad`` as it was.
+    A streamed sample's bag is read for its forward pass only.
     """
     arrays = {k: p.data for k, p in params.items()}
-    return np.array([forward_bag(arrays, model_config, s.bag).predicted_class()
+    return np.array([forward_bag(arrays, model_config, s.load()).predicted_class()
                      for s in samples], dtype=np.int64)
 
 
@@ -255,7 +308,7 @@ def train(model_config: ModelConfig, config: TrainConfig,
         total = 0.0
         for i in order:
             sample = train_samples[i]
-            output = forward_bag(params, model_config, sample.bag)
+            output = forward_bag(params, model_config, sample.load())
             loss = bag_loss(output, sample, config)
             value = float(loss.data[0, 0])
             if not np.isfinite(value):
@@ -270,6 +323,7 @@ def train(model_config: ModelConfig, config: TrainConfig,
                 raise NumericError(f"epoch {epoch}, slide "
                                    f"{sample.bag.slide_id}: {exc}") from exc
             total += value
+            del output, loss    # free this graph before the next bag is read
         val_confusion = confusion(
             y_val, predict_classes(params, model_config, val_samples))
         val_score = balanced_accuracy(val_confusion)

@@ -135,6 +135,25 @@ def test_train_usage_errors(dataset, tmp_path):
     assert main(["train", "--out", out]) == 2  # no --data and no env
 
 
+def test_resample_counts_below_one_are_usage_errors(baseline_run, dataset,
+                                                    tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "train", None)          # any training call would fail
+    monkeypatch.setattr(cli, "read_manifest", None)  # and so would a manifest read
+    out = tmp_path / "r.report"
+    capsys.readouterr()
+    assert main(["train", "--data", str(dataset), "--out", str(out)]
+                + FAST_TRAIN + ["--bootstrap", "0"]) == 2
+    assert main(["eval", str(baseline_run), "--compare", str(baseline_run),
+                 "--permutations", "0"]) == 2
+    assert main(["eval", str(baseline_run), "--bootstrap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: --bootstrap must be >= 1, got 0",
+                                         "error: --permutations must be >= 1, got 0",
+                                         "error: --bootstrap must be >= 1, got -1"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_train_mixed_feature_dims_fail_before_training(tmp_path, capsys):
     root = tmp_path / "mixed"
     assert main(["gen-synthetic", "--out", str(root), "--splits", "4,2,2",
