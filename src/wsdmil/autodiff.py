@@ -226,7 +226,9 @@ def linear(x, w, b):
                      (b, lambda g: g.sum(axis=0, keepdims=True)))
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeError("linear", x.shape, w.shape, b.shape)
-    return x @ w + b
+    y = x @ w
+    y += b
+    return y
 
 
 def relu(x):

@@ -14,6 +14,7 @@ prediction used by the multi-task objective.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -219,15 +220,17 @@ def forward_dsmil(params: dict, features: np.ndarray) -> BagOutput:
                      wsd_prediction=_regress(params, pooled))
 
 
+_HEADS = {
+    "maxmil": forward_maxmil,
+    "abmil": forward_abmil,
+    "gated_abmil": functools.partial(forward_abmil, gated=True),
+    "dsmil": forward_dsmil,
+}
+
+
 def forward_bag(params: dict, config: ModelConfig, bag: Bag) -> BagOutput:
     """Dispatch a bag through the configured head."""
-    if config.head_kind == "maxmil":
-        return forward_maxmil(params, bag.features)
-    if config.head_kind == "abmil":
-        return forward_abmil(params, bag.features, gated=False)
-    if config.head_kind == "gated_abmil":
-        return forward_abmil(params, bag.features, gated=True)
-    return forward_dsmil(params, bag.features)
+    return _HEADS[config.head_kind](params, bag.features)
 
 
 def extract_attention(output: BagOutput, bag: Bag) -> list[tuple[tuple[int, int], float]]:

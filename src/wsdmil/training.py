@@ -34,6 +34,7 @@ __all__ = [
     "Sample",
     "EpochStats",
     "TrainResult",
+    "ADAM_CHUNK",
     "AdamState",
     "GridRow",
     "GridSearchResult",
@@ -205,31 +206,64 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+# Elements of the flat state that one pass of adam_step updates; its two
+# scratch arrays hold min(state size, ADAM_CHUNK) elements.
+ADAM_CHUNK = 65_536
+
+
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    work: dict[str, tuple[np.ndarray, np.ndarray]]  # scratch for the update
+    """Flat parameter state.
+
+    ``params`` and ``grads`` are the contiguous float64 buffers that every
+    parameter's ``data`` and ``grad`` are views into, laid out in dict
+    order; Adam's moments ``m`` and ``v`` share that layout.
+    """
+
+    params: np.ndarray
+    grads: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def init_adam(params: dict[str, Tensor]) -> AdamState:
-    return AdamState(m={k: np.zeros_like(p.data) for k, p in params.items()},
-                     v={k: np.zeros_like(p.data) for k, p in params.items()},
-                     work={k: (np.empty_like(p.data), np.empty_like(p.data))
-                           for k, p in params.items()})
+    """Copy every parameter's data and grad into two flat buffers and rebind
+    them as views into those buffers, in dict order; values are unchanged."""
+    size = sum(p.data.size for p in params.values())
+    flat = {"data": np.empty(size), "grad": np.empty(size)}
+    start = 0
+    for p in params.values():
+        block = slice(start, start + p.data.size)
+        for attr, buffer in flat.items():
+            view = buffer[block].reshape(p.data.shape)
+            view[...] = getattr(p, attr)
+            setattr(p, attr, view)
+        start = block.stop
+    return AdamState(params=flat["data"], grads=flat["grad"],
+                     m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(state: AdamState, params: dict[str, Tensor], lr: float) -> None:
-    """In-place bias-corrected Adam update from each parameter's .grad."""
+    """In-place bias-corrected Adam update of the flat state from its grads.
+
+    A non-finite gradient raises ``NumericError`` naming the first such
+    parameter of ``params`` (the dict ``init_adam`` flattened) before any
+    parameter, moment or ``t`` changes.
+    """
+    if not np.isfinite(state.grads).all():
+        name = next(k for k, p in params.items() if not np.isfinite(p.grad).all())
+        raise NumericError(f"non-finite gradient in parameter {name}")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    for name, p in params.items():
-        g = p.grad
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in parameter {name}")
-        m, v, (a, b) = state.m[name], state.v[name], state.work[name]
+    size = state.params.size
+    work = np.empty((2, min(size, ADAM_CHUNK)))
+    for start in range(0, size, ADAM_CHUNK):
+        chunk = slice(start, start + ADAM_CHUNK)
+        p, g = state.params[chunk], state.grads[chunk]
+        m, v = state.m[chunk], state.v[chunk]
+        a, b = work[:, :p.size]
         # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g^2
         m *= ADAM_BETA1
         m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
@@ -238,7 +272,7 @@ def adam_step(state: AdamState, params: dict[str, Tensor], lr: float) -> None:
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order
         np.multiply(lr, np.divide(m, c1, out=a), out=a)
         np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPS, out=b)
-        p.data -= np.divide(a, b, out=a)
+        p -= np.divide(a, b, out=a)
 
 
 # ---- training loop ----------------------------------------------------------------
@@ -300,7 +334,6 @@ def train(model_config: ModelConfig, config: TrainConfig,
     history: list[EpochStats] = []
     best_score = -1.0
     best_epoch = -1
-    best_snapshot: dict[str, np.ndarray] = {}
 
     for epoch in range(config.epochs):
         order = np.random.default_rng([config.seed, epoch]).permutation(
@@ -314,8 +347,7 @@ def train(model_config: ModelConfig, config: TrainConfig,
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, "
                                    f"slide {sample.bag.slide_id}")
-            for p in params.values():
-                p.grad[...] = 0.0
+            state.grads.fill(0.0)
             loss.backward()
             try:
                 adam_step(state, params, config.learning_rate)
@@ -332,10 +364,11 @@ def train(model_config: ModelConfig, config: TrainConfig,
             best_score = val_score
             best_epoch = epoch
             best_confusion = val_confusion
-            best_snapshot = {k: p.data.copy() for k, p in params.items()}
+            best_snapshot = state.params.copy()
 
-    best_params = {k: Tensor(v, name=k) for k, v in best_snapshot.items()}
-    return TrainResult(params=best_params, history=history,
+    state.params[...] = best_snapshot
+    state.grads.fill(0.0)           # the best epoch's values, grads as fresh leaves
+    return TrainResult(params=params, history=history,
                        best_epoch=best_epoch, best_val_confusion=best_confusion)
 
 

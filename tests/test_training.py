@@ -2,13 +2,14 @@
 
 import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wsdmil import training
-from wsdmil.autodiff import Tensor
+from wsdmil.autodiff import Tensor, grad_check
 from wsdmil.bags import (Bag, SynthConfig, generate_synthetic, read_manifest,
                          split_bags)
 from wsdmil.gleason import WeightTriple, consensus_record, parse_score, wsd_weight
@@ -195,6 +196,131 @@ def test_adam_rejects_non_finite_gradient():
     params["b"].grad[...] = 0.0
     with pytest.raises(NumericError, match="w"):
         adam_step(state, params, lr=1e-3)
+
+
+def test_adam_non_finite_gradient_leaves_state_untouched():
+    params = small_params()
+    state = init_adam(params)
+    for p in params.values():
+        p.grad[...] = 0.5
+    adam_step(state, params, lr=1e-3)
+    before = {k: p.data.copy() for k, p in params.items()}
+    moments = state.m.copy(), state.v.copy()
+    params["w"].grad[...] = 1.0
+    params["b"].grad[0, 1] = np.nan
+    with pytest.raises(NumericError, match="non-finite gradient in parameter b$"):
+        adam_step(state, params, lr=1e-3)
+    assert state.t == 1
+    for k, p in params.items():
+        assert p.data.tobytes() == before[k].tobytes()
+    assert state.m.tobytes() == moments[0].tobytes()
+    assert state.v.tobytes() == moments[1].tobytes()
+
+
+def flat_offsets(params):
+    """Start and stop of each parameter's block in the flat state, in dict order."""
+    stops = np.cumsum([p.data.size for p in params.values()])
+    return list(zip(np.concatenate([[0], stops[:-1]]), stops))
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_init_adam_rebinds_parameters_as_views_of_flat_buffers(head):
+    params = init_model(tiny_model(5, head=head, reg=True))
+    rng = np.random.default_rng(3)
+    for p in params.values():
+        p.grad[...] = rng.standard_normal(p.grad.shape)
+    before = {k: (p.data.copy(), p.grad.copy()) for k, p in params.items()}
+    state = init_adam(params)
+    size = sum(p.data.size for p in params.values())
+    for buffer in (state.params, state.grads, state.m, state.v):
+        assert buffer.shape == (size,) and buffer.dtype == np.float64
+        assert buffer.flags.c_contiguous
+    assert not state.m.any() and not state.v.any() and state.t == 0
+    for (k, p), (start, _) in zip(params.items(), flat_offsets(params)):
+        for i, (view, buffer) in enumerate(((p.data, state.params),
+                                            (p.grad, state.grads))):
+            assert view.dtype == np.float64 and view.flags.c_contiguous
+            assert view.base is buffer
+            assert (view.__array_interface__["data"][0]
+                    - buffer.__array_interface__["data"][0]) == 8 * start
+            assert view.tobytes() == before[k][i].tobytes()
+
+
+def reference_adam(params, moments, t, lr):
+    """Per-parameter Adam with its own m and v arrays, in the operation order
+    the flat state keeps."""
+    c1 = 1.0 - training.ADAM_BETA1 ** t
+    c2 = 1.0 - training.ADAM_BETA2 ** t
+    for name, p in params.items():
+        g, (m, v) = p.grad, moments[name]
+        m *= training.ADAM_BETA1
+        m += (1.0 - training.ADAM_BETA1) * g
+        v *= training.ADAM_BETA2
+        v += (1.0 - training.ADAM_BETA2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + training.ADAM_EPS)
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+@pytest.mark.parametrize("reg", [False, True])
+def test_flat_adam_matches_per_parameter_adam_bitwise(monkeypatch, head, reg):
+    chunk = 7
+    monkeypatch.setattr(training, "ADAM_CHUNK", chunk)
+    mc = tiny_model(5, head=head, reg=reg)
+    flat, ref = init_model(mc), init_model(mc)
+    state = init_adam(flat)
+    assert any(start // chunk != (stop - 1) // chunk
+               for start, stop in flat_offsets(flat))   # a block straddles chunks
+    moments = {k: (np.zeros_like(p.data), np.zeros_like(p.data)) for k, p in ref.items()}
+    rng = np.random.default_rng(11)
+    for t in range(1, 6):
+        for k, p in flat.items():
+            g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+            p.grad[...] = g
+            ref[k].grad[...] = g
+        adam_step(state, flat, lr=1e-2)
+        reference_adam(ref, moments, t, lr=1e-2)
+    assert state.t == 5
+    for k, p in flat.items():
+        assert p.data.tobytes() == ref[k].data.tobytes()
+    assert state.m.tobytes() == b"".join(m.tobytes() for m, _ in moments.values())
+    assert state.v.tobytes() == b"".join(v.tobytes() for _, v in moments.values())
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_grad_check_passes_on_flat_parameters(head):
+    mc = ModelConfig(head, 6, hidden_dim=5, attention_dim=3,
+                     with_regression_head=True, init_seed=2)
+    params = init_model(mc)
+    state = init_adam(params)
+    bag = Bag("s", np.random.default_rng(4).standard_normal((5, 6)),
+              np.stack([np.arange(5)] * 2, axis=1))
+
+    def loss_fn():
+        return loss_multitask(forward_bag(params, mc, bag), 1, 0.5, alpha=1.0, beta=1.0)
+
+    report = grad_check(loss_fn, list(params.values()), epsilon=5e-5, tolerance=1e-6)
+    assert report.max_rel_error < 1e-6
+    assert all(p.data.base is state.params and p.grad.base is state.grads
+               for p in params.values())
+
+
+def test_adam_state_and_step_cost_two_parameter_copies():
+    """init_adam keeps m and v, and replaces the parameters' own data and
+    grad arrays by the flat buffers; one step adds two scratch chunks."""
+    tracemalloc.start()
+    try:
+        params = init_model(ModelConfig("dsmil", 1024, hidden_dim=256))
+        param_bytes = sum(p.data.nbytes for p in params.values())
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        state = init_adam(params)
+        adam_step(state, params, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert param_bytes > 4 * training.ADAM_CHUNK * 8        # several chunks
+    # + 16 KiB for the Python objects of views and of the state
+    assert peak - start <= 2 * param_bytes + 2 * training.ADAM_CHUNK * 8 + 16 * 2**10
 
 
 # ---- config and sample plumbing ---------------------------------------------------
