@@ -10,9 +10,7 @@ whose parents are its Tensor operands; plain operands are constants.
 
 Calling ``backward()`` on a scalar node sweeps the graph in reverse
 topological order and accumulates adjoints into ``.grad`` of every
-reachable node that requires a gradient; the others (gradient-free leaves
-and everything computed from them alone) have ``grad`` None and get no
-adjoint computed.  ``grad_check`` provides the central-difference oracle
+reachable node.  ``grad_check`` provides the central-difference oracle
 used to validate all analytic gradients.
 """
 
@@ -41,7 +39,6 @@ __all__ = [
     "softmax_rows",
     "max_rows",
     "mean_rows",
-    "sum_all",
     "concat_rows",
     "take_rows",
     "cross_entropy",
@@ -54,8 +51,6 @@ class ShapeError(ValueError):
     """Raised when a primitive receives incompatible operand shapes."""
 
     def __init__(self, op: str, *shapes: tuple[int, ...]):
-        self.op = op
-        self.shapes = shapes
         pretty = " and ".join(str(tuple(s)) for s in shapes)
         super().__init__(f"{op}: incompatible shapes {pretty}")
 
@@ -64,43 +59,30 @@ class GradCheckError(RuntimeError):
     """Raised when the loss is non-finite at a finite-difference probe point."""
 
 
-def _as_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    elif arr.ndim > 2:
-        raise ShapeError("tensor", arr.shape)
-    return arr
-
-
 class Tensor:
-    """A node in the differentiation graph holding a 2-D float64 value.
+    """A differentiable node holding a 2-D float64 value.
 
-    Leaves are created directly from data.  The ops below build the other
-    nodes, whose parents are ``(parent, vjp)`` pairs in operand order:
-    ``vjp`` maps the node's adjoint to that parent's share of it.  A vjp
-    holds arrays and parents but never its own node, so a graph has no
-    reference cycles and is freed as soon as its output goes out of scope.
+    Leaves are created directly from data, which is held without a copy.
+    The ops below build the other nodes, whose parents are ``(parent, vjp)``
+    pairs in operand order: ``vjp`` maps the node's adjoint to that
+    parent's share of it.  A vjp holds arrays and parents but never its own
+    node, so a graph has no reference cycles and is freed as soon as its
+    output goes out of scope.
 
-    ``requires_grad`` is given for leaves; a node with parents requires a
-    gradient when any parent does.  A leaf that requires one holds a zero
-    ``grad`` from the start, and gradients accumulate, so callers zero
-    parameter grads between backward passes.  An interior node's ``grad``
-    stays None until ``backward`` gives it its first share.  ``+``, ``*``
-    and ``@`` are the ops ``add``, ``mul`` and ``matmul``.
+    A leaf holds a zero ``grad`` from the start, and gradients accumulate,
+    so callers zero parameter grads between backward passes.  An interior
+    node's ``grad`` stays None until ``backward`` gives it its first share.
+    ``+``, ``*`` and ``@`` are the ops ``add``, ``mul`` and ``matmul``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "name", "_parents")
+    __slots__ = ("data", "grad", "op", "name", "_parents")
 
     def __init__(self, data, op: str = "leaf", parents: tuple = (),
-                 name: str | None = None, requires_grad: bool = True):
-        self.data = _as_matrix(data)
-        if parents:
-            requires_grad = any(p.requires_grad for p, _ in parents)
-        self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad and not parents else None
+                 name: str | None = None):
+        self.data = np.asarray(data, dtype=np.float64)
+        if self.data.ndim != 2:
+            raise ShapeError("tensor", self.data.shape)
+        self.grad = None if parents else np.zeros_like(self.data)
         self.op = op
         self.name = name
         self._parents = parents
@@ -117,15 +99,12 @@ class Tensor:
         """Reverse-sweep from this node; requires a scalar (1x1) value.
 
         This is the one place that adds into ``.grad``: each node's parents,
-        in operand order, receive ``vjp(node.grad)`` when they require a
-        gradient.  An interior parent's first share becomes a fresh grad of
-        its shape, ``share + 0.0``, the bits of adding it to zeros.  Nodes
-        that require no gradient are left out of the sweep.
+        in operand order, receive ``vjp(node.grad)``.  An interior parent's
+        first share becomes a fresh grad of its shape, ``share + 0.0``, the
+        bits of adding it to zeros.
         """
         if self.data.size != 1:
             raise ShapeError("backward", self.shape)
-        if not self.requires_grad:
-            raise ValueError("backward: the value requires no gradient")
         order: list[Tensor] = []
         _topo_sort(self, set(), order)
         self.grad = np.ones_like(self.data)
@@ -133,14 +112,14 @@ class Tensor:
             for parent, vjp in node._parents:
                 if parent.grad is not None:
                     parent.grad += vjp(node.grad)
-                elif parent.requires_grad:
+                else:
                     parent.grad = np.add(vjp(node.grad), 0.0,
                                          out=np.empty_like(parent.data))
 
 
 def _topo_sort(node: Tensor, seen: set[int], order: list[Tensor]) -> None:
-    """Append the nodes below ``node`` that require a gradient, parents first."""
-    if id(node) in seen or not node.requires_grad:
+    """Append ``node`` and the nodes below it, parents first."""
+    if id(node) in seen:
         return
     seen.add(id(node))
     for parent, _ in node._parents:
@@ -286,13 +265,6 @@ def mean_rows(x):
         return Tensor(mean_rows(a), "mean_rows",
                       ((x, lambda g: np.broadcast_to(g / a.shape[0], a.shape)),))
     return x.mean(axis=0, keepdims=True)
-
-
-def sum_all(x):
-    """The sum of every entry, as a 1x1 value."""
-    if isinstance(x, Tensor):
-        return Tensor(sum_all(x.data), "sum", ((x, lambda g: g[0, 0]),))
-    return np.array([[x.sum()]])
 
 
 def concat_rows(operands: Sequence):

@@ -323,6 +323,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, v in vars(self).items():
+            if isinstance(v, (float, tuple)) and not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.n_train + self.n_val + self.n_test < 1:
             raise ValueError("at least one slide required")
         if min(self.n_train, self.n_val, self.n_test) < 0:

@@ -11,6 +11,7 @@ training, a loss weight.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 
@@ -141,8 +142,9 @@ class WeightTriple:
     def __post_init__(self):
         for name in ("no_consensus", "heterogeneous", "homogeneous"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not v == v or v <= 0:
-                raise ValueError(f"weight {name} must be a positive number, got {v!r}")
+            if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
+                raise ValueError(f"weight {name} must be a positive finite number, "
+                                 f"got {v!r}")
         if self.allow_out_of_range:
             return
         if self.homogeneous != 1.0:

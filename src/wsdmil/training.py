@@ -79,6 +79,9 @@ class TrainConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, "
                              f"expected one of {METHODS}")
+        for name in ("alpha", "beta", "learning_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
         if self.method != "multitask" and (self.alpha, self.beta) != (1.0, 1.0):
@@ -291,10 +294,6 @@ class TrainResult:
     history: list[EpochStats]
     best_epoch: int
     best_val_confusion: np.ndarray
-
-    @property
-    def best_val_balanced_accuracy(self) -> float:
-        return balanced_accuracy(self.best_val_confusion)
 
 
 def predict_classes(params: dict[str, Tensor], model_config: ModelConfig,

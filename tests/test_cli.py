@@ -222,6 +222,30 @@ def test_train_env_var_supplies_data_root(dataset, tmp_path, monkeypatch):
     assert out.is_file()
 
 
+@pytest.mark.parametrize("args,field", [
+    (["train", "--lr", "nan"], "learning_rate"),
+    (["train", "--lr", "inf"], "learning_rate"),
+    (["train", "--method", "multitask", "--alpha", "nan"], "alpha"),
+    (["train", "--method", "multitask", "--beta", "inf"], "beta"),
+    (["train", "--method", "weighted", "--weights", "inf,1,1",
+      "--allow-any-weights"], "no_consensus"),
+    (["grid", "--method", "multitask", "--grid-ab", "(nan,1)"], "alpha"),
+    (["gen-synthetic", "--noise-sigma", "nan"], "noise_sigma"),
+    (["gen-synthetic", "--size-factor", "inf"], "size_factor"),
+], ids=["lr-nan", "lr-inf", "alpha-nan", "beta-inf", "weights-inf", "grid-ab-nan",
+        "noise-sigma-nan", "size-factor-inf"])
+def test_non_finite_values_are_usage_errors_before_any_io(args, field, tmp_path,
+                                                          capsys):
+    if args[0] == "gen-synthetic":
+        args = args + ["--out", str(tmp_path)]
+    else:  # reading the missing data root would be a data error, exit 3
+        args = args + ["--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_missing_data_dir_is_data_error(tmp_path):
     assert main(["train", "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "r.report")]) == 3
