@@ -16,7 +16,7 @@ used to validate all analytic gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -324,7 +324,6 @@ def squared_error(pred: Tensor, target: float) -> Tensor:
 class GradCheckReport:
     """Outcome of comparing analytic gradients against central differences."""
 
-    per_param: list[tuple[str, float]] = field(default_factory=list)
     max_rel_error: float = 0.0
     tolerance: float = 1e-6
 
@@ -369,6 +368,5 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
             numeric = (hi - lo) / (2.0 * epsilon)
             denom = max(abs(a[ij]), abs(numeric), 1e-8)
             worst = max(worst, abs(a[ij] - numeric) / denom)
-        report.per_param.append((p.name or f"param{k}", worst))
         report.max_rel_error = max(report.max_rel_error, worst)
     return report

@@ -42,6 +42,13 @@ CLASS_DISPLAY = ("Benign", "Gleason 3", "Gleason 4", "Gleason 5")
 LEVEL_ORDER = (ConsensusLevel.HOMOGENEOUS, ConsensusLevel.HETEROGENEOUS,
                ConsensusLevel.NO_CONSENSUS)
 
+# report key -> per-seed test metric, a function of the confusion matrix;
+# [mean] holds the seed mean and CI of each MEAN_METRICS key
+SEED_METRICS = {"balanced_accuracy": balanced_accuracy,
+                "weighted_f1": weighted_f1,
+                "per_class": per_class_accuracy}
+MEAN_METRICS = ("balanced_accuracy", "weighted_f1")
+
 
 class UsageError(Exception):
     """Bad flag combination or invalid configuration value."""
@@ -91,6 +98,23 @@ def _data_root(args) -> Path:
     if not root:
         raise UsageError(f"no data directory: pass --data or set {DATA_ROOT_ENV}")
     return Path(root)
+
+
+def _setup(args, *splits: str):
+    """Seeds, model config, manifest path and samples of a training command.
+
+    The flags are checked before any file is read: the model config is
+    built with a placeholder input dim that the bags' dim then replaces.
+    """
+    seeds = _parse_seeds(args.seeds)
+    model_config = _config(ModelConfig, head_kind=args.model, input_dim=1,
+                           hidden_dim=args.hidden_dim,
+                           attention_dim=args.attention_dim,
+                           with_regression_head=(args.method == "multitask"))
+    manifest_path = _data_root(args) / "manifest.tsv"
+    samples = _load_samples(manifest_path, *splits)
+    model_config = replace(model_config, input_dim=samples[splits[0]][0].bag.d)
+    return seeds, model_config, manifest_path, samples
 
 
 def _load_samples(manifest_path: Path, *splits: str):
@@ -205,16 +229,15 @@ def _seed_mean_ci(y_true, preds_per_seed, metric_fn, n_resamples, seed):
 
 
 def _score(models, samples, n_resamples, stats_seed):
-    """Labels, per-seed predictions and confusions, and the seed-mean CIs
-    of balanced accuracy and weighted F1 (whose points are the seed means)
-    of (params, config) pairs on one split; both train and eval use it."""
+    """Labels, per-seed predictions and confusions, and the seed-mean CI of
+    each MEAN_METRICS key (whose point is the seed mean) of (params, config)
+    pairs on one split; both train and eval use it."""
     y_true = np.array([s.label for s in samples], dtype=np.int64)
     preds = [predict_classes(params, mc, samples) for params, mc in models]
     confusions = [confusion(y_true, p) for p in preds]
-    ci_ba = _seed_mean_ci(y_true, preds, balanced_accuracy, n_resamples,
-                          stats_seed)
-    ci_f1 = _seed_mean_ci(y_true, preds, weighted_f1, n_resamples, stats_seed)
-    return y_true, preds, confusions, ci_ba, ci_f1
+    cis = {key: _seed_mean_ci(y_true, preds, SEED_METRICS[key], n_resamples,
+                              stats_seed) for key in MEAN_METRICS}
+    return y_true, preds, confusions, cis
 
 
 def cmd_train(args) -> int:
@@ -225,26 +248,18 @@ def cmd_train(args) -> int:
                           allow_out_of_range=args.allow_any_weights)
     elif args.method == "weighted":
         raise UsageError("--method weighted needs --weights NC,HEC,HOC")
-    seeds = _parse_seeds(args.seeds)
     train_config = _config(TrainConfig, method=args.method, alpha=args.alpha,
                            beta=args.beta, weights=weights,
                            learning_rate=args.lr, epochs=args.epochs)
-
-    data = _data_root(args)
-    manifest_path = data / "manifest.tsv"
-    samples = _load_samples(manifest_path, "train", "val", "test")
-    input_dim = samples["train"][0].bag.d
-    model_config = _config(ModelConfig, head_kind=args.model, input_dim=input_dim,
-                           hidden_dim=args.hidden_dim,
-                           attention_dim=args.attention_dim,
-                           with_regression_head=(args.method == "multitask"))
+    seeds, model_config, manifest_path, samples = _setup(args, "train", "val",
+                                                         "test")
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     configs = [replace(model_config, init_seed=seed) for seed in seeds]
     results = [train(mc, replace(train_config, seed=mc.init_seed),
                      samples["train"], samples["val"]) for mc in configs]
-    _, _, confusions, ci_ba, ci_f1 = _score(
+    _, _, confusions, cis = _score(
         [(r.params, mc) for r, mc in zip(results, configs)], samples["test"],
         args.bootstrap, args.stats_seed)
     seed_results = []
@@ -252,14 +267,10 @@ def cmd_train(args) -> int:
         params_name = f"{out_path.stem}_params_seed{seed}.npz"
         save_params(result.params, mc, out_path.parent / params_name)
         seed_results.append(SeedResult(
-            seed=seed,
-            balanced_accuracy=balanced_accuracy(m),
-            weighted_f1=weighted_f1(m),
-            per_class=per_class_accuracy(m),
-            best_epoch=result.best_epoch,
-            params_path=params_name,
+            seed=seed, best_epoch=result.best_epoch, params_path=params_name,
             history=[(h.epoch, h.train_loss, h.val_balanced_accuracy)
-                     for h in result.history]))
+                     for h in result.history],
+            **{key: fn(m) for key, fn in SEED_METRICS.items()}))
         print(f"seed {seed}: test balanced accuracy "
               f"{format_score(seed_results[-1].balanced_accuracy)}, "
               f"best epoch {result.best_epoch}")
@@ -276,16 +287,14 @@ def cmd_train(args) -> int:
             "epochs": str(args.epochs),
             "hidden_dim": str(args.hidden_dim),
             "attention_dim": str(args.attention_dim),
-            "input_dim": str(input_dim),
+            "input_dim": str(model_config.input_dim),
             "seeds": ",".join(str(s) for s in seeds),
         },
         manifest=str(manifest_path.resolve()),
         fingerprint=manifest_fingerprint(manifest_path),
         seeds=seed_results,
-        mean_balanced_accuracy=ci_ba.point,
-        mean_weighted_f1=ci_f1.point,
-        ci_balanced_accuracy=ci_ba.offsets(),
-        ci_weighted_f1=ci_f1.offsets())
+        **{f"mean_{key}": ci.point for key, ci in cis.items()},
+        **{f"ci_{key}": ci.offsets() for key, ci in cis.items()})
     write_report(report, out_path)
     print(f"seed-mean test balanced accuracy: {report.display_line()}")
     print(f"report: {out_path}")
@@ -296,7 +305,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    seeds = _parse_seeds(args.seeds)
     if args.method == "multitask":
         if args.grid_weights:
             raise UsageError("--grid-weights only applies to --method weighted")
@@ -322,12 +330,7 @@ def cmd_grid(args) -> int:
                for point in points]
     labels = [f"({','.join(f'{x:g}' for x in point)})" for point in points]
 
-    data = _data_root(args)
-    samples = _load_samples(data / "manifest.tsv", "train", "val")
-    model_config = _config(ModelConfig, head_kind=args.model,
-                           input_dim=samples["train"][0].bag.d,
-                           hidden_dim=args.hidden_dim,
-                           attention_dim=args.attention_dim)
+    seeds, model_config, _, samples = _setup(args, "train", "val")
     result = grid_search(model_config, configs, samples["train"],
                          samples["val"], seeds)
 
@@ -365,11 +368,7 @@ def _load_system(target: Path, manifest_path: Path | None):
     its recorded manifest unless one is given, whose fingerprint must match.
     """
     if target.suffix == ".npz":
-        models = [(target, load_params(target))]
-        if manifest_path is None:
-            raise ValueError("--manifest (or --data) required when evaluating "
-                             "a parameter archive")
-        return manifest_path, models, None
+        return manifest_path, [(target, load_params(target))], None
 
     report = read_report(target)
     if manifest_path is None:
@@ -389,6 +388,9 @@ def cmd_eval(args) -> int:
         manifest_path = Path(args.manifest)
     elif args.data or os.environ.get(DATA_ROOT_ENV):
         manifest_path = _data_root(args) / "manifest.tsv"
+    elif Path(args.target).suffix == ".npz":
+        raise UsageError("--manifest (or --data) required when evaluating a "
+                         "parameter archive")
 
     manifest_path, models, stored = _load_system(Path(args.target), manifest_path)
     samples = _load_samples(manifest_path, args.split)[args.split]
@@ -405,7 +407,7 @@ def cmd_eval(args) -> int:
             raise ValueError(f"{path} has model input dim {mc.input_dim}, but "
                              f"slide {bag.slide_id} in {manifest_path} has "
                              f"feature dim {bag.d}")
-    y_true, preds, per_seed_ms, ci_ba, ci_f1 = _score(
+    y_true, preds, per_seed_ms, cis = _score(
         [model for _, model in models], samples, args.bootstrap, args.stats_seed)
 
     # stored numbers are test metrics, so only cross-check on test; the CI
@@ -413,12 +415,9 @@ def cmd_eval(args) -> int:
     if stored is not None and args.split == "test":
         checks = [(f"seed {s.seed}", key, getattr(s, key), fn(m))
                   for s, m in zip(stored.seeds, per_seed_ms)
-                  for key, fn in (("balanced_accuracy", balanced_accuracy),
-                                  ("weighted_f1", weighted_f1),
-                                  ("per_class", per_class_accuracy))]
-        checks += [("mean", "balanced_accuracy", stored.mean_balanced_accuracy,
-                    ci_ba.point),
-                   ("mean", "weighted_f1", stored.mean_weighted_f1, ci_f1.point)]
+                  for key, fn in SEED_METRICS.items()]
+        checks += [("mean", key, getattr(stored, f"mean_{key}"), ci.point)
+                   for key, ci in cis.items()]
         for section, key, want, got in checks:
             if got != want:
                 raise ValueError(f"[{section}] {key}: recomputed {got!r} "
@@ -440,6 +439,7 @@ def cmd_eval(args) -> int:
 
     print(f"slides: {len(samples)} ({args.split}); seeds: {len(preds)}")
     starred = p_value is not None and p_value < 0.05
+    ci_ba, ci_f1 = cis["balanced_accuracy"], cis["weighted_f1"]
     print(f"balanced accuracy: "
           f"{format_score(ci_ba.point, ci_ba.offsets(), starred)}")
     print(f"weighted F1:       {format_score(ci_f1.point, ci_f1.offsets())}")

@@ -50,17 +50,17 @@ PERMUTATION_CHUNK = 1 << 16
 BOOTSTRAP_CHUNK = 1 << 16
 
 
-def confusion(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
+def confusion(y_true, y_pred) -> np.ndarray:
     """Count matrix M[i, j] = slides of true class i predicted as class j."""
     t = np.asarray(y_true, dtype=np.int64)
     p = np.asarray(y_pred, dtype=np.int64)
     if t.shape != p.shape or t.ndim != 1 or t.size == 0:
         raise ValueError(f"labels must be equal-length 1-D and non-empty, "
                          f"got {t.shape} and {p.shape}")
-    if t.min() < 0 or t.max() >= n_classes or p.min() < 0 or p.max() >= n_classes:
-        raise ValueError(f"labels outside 0..{n_classes - 1}")
-    cells = np.bincount(t * n_classes + p, minlength=n_classes * n_classes)
-    return cells.reshape(n_classes, n_classes)
+    if t.min() < 0 or t.max() >= N_CLASSES or p.min() < 0 or p.max() >= N_CLASSES:
+        raise ValueError(f"labels outside 0..{N_CLASSES - 1}")
+    cells = np.bincount(t * N_CLASSES + p, minlength=N_CLASSES * N_CLASSES)
+    return cells.reshape(N_CLASSES, N_CLASSES)
 
 
 def balanced_accuracy(m: np.ndarray) -> float | np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -128,7 +128,7 @@ class RunReport:
                             self.ci_balanced_accuracy)
 
 
-def _fmt_per_class(values) -> str:
+def _fmt_floats(values) -> str:
     return ",".join("-" if v is None else repr(float(v)) for v in values)
 
 
@@ -136,19 +136,43 @@ def _parse_per_class(text: str) -> list[float | None]:
     return [None if tok == "-" else float(tok) for tok in text.split(",")]
 
 
+def _parse_pair(text: str) -> tuple[float, float]:
+    low, high = text.split(",")
+    return float(low), float(high)
+
+
+# (key, attribute, format, parse) of each line of a section, in file order.
+# A None attribute writes no line, and a missing line reads as None if the
+# attribute defaults to None; any other missing line is an error.
+_DATA_LINES = (("manifest", "manifest", str, str),
+               ("fingerprint", "fingerprint", str, str))
+_SEED_LINES = (("params", "params_path", str, str),
+               ("balanced_accuracy", "balanced_accuracy", repr, float),
+               ("weighted_f1", "weighted_f1", repr, float),
+               ("per_class", "per_class", _fmt_floats, _parse_per_class),
+               ("best_epoch", "best_epoch", str, int))
+_MEAN_LINES = (("balanced_accuracy", "mean_balanced_accuracy", repr, float),
+               ("weighted_f1", "mean_weighted_f1", repr, float),
+               ("ci_balanced_accuracy", "ci_balanced_accuracy", _fmt_floats,
+                _parse_pair),
+               ("ci_weighted_f1", "ci_weighted_f1", _fmt_floats, _parse_pair))
+
+_OPTIONAL = {f.name for f in fields(RunReport) if f.default is None}
+
+
 def _history_row(line: str) -> tuple[int, float, float]:
     epoch, train_loss, val_bal_acc = line.split()
     return int(epoch), float(train_loss), float(val_bal_acc)
 
 
-def _ci_pair(text: str) -> tuple[float, float]:
-    low, high = text.split(",")
-    return float(low), float(high)
-
-
 def _key_value(line: str) -> tuple[str, str]:
     key, _, value = line.partition(":")
     return key.strip(), value.strip()
+
+
+def _section_lines(name: str, obj, rows) -> list[str]:
+    return ["", f"[{name}]"] + [f"{key}: {fmt(value)}" for key, attr, fmt, _ in rows
+                                 if (value := getattr(obj, attr)) is not None]
 
 
 def write_report(report: RunReport, path) -> None:
@@ -158,26 +182,13 @@ def write_report(report: RunReport, path) -> None:
              "",
              "[config]"]
     lines += [f"{k}: {v}" for k, v in report.config.items()]
-    lines += ["", "[data]",
-              f"manifest: {report.manifest}",
-              f"fingerprint: {report.fingerprint}"]
+    lines += _section_lines("data", report, _DATA_LINES)
     for s in report.seeds:
-        lines += ["", f"[seed {s.seed}]",
-                  f"params: {s.params_path}",
-                  f"balanced_accuracy: {s.balanced_accuracy!r}",
-                  f"weighted_f1: {s.weighted_f1!r}",
-                  f"per_class: {_fmt_per_class(s.per_class)}",
-                  f"best_epoch: {s.best_epoch}"]
+        lines += _section_lines(f"seed {s.seed}", s, _SEED_LINES)
         if s.history:
             lines += ["", f"[history {s.seed}]"]
             lines += [f"{e} {tl!r} {vb!r}" for e, tl, vb in s.history]
-    lines += ["", "[mean]",
-              f"balanced_accuracy: {report.mean_balanced_accuracy!r}",
-              f"weighted_f1: {report.mean_weighted_f1!r}"]
-    for key, ci in (("ci_balanced_accuracy", report.ci_balanced_accuracy),
-                    ("ci_weighted_f1", report.ci_weighted_f1)):
-        if ci is not None:
-            lines.append(f"{key}: {ci[0]!r},{ci[1]!r}")
+    lines += _section_lines("mean", report, _MEAN_LINES)
     lines.append(f"display: {report.display_line()}")
     with open_atomic(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode())
@@ -202,7 +213,7 @@ def read_report(path) -> RunReport:
             body = sections.setdefault(line[1:-1], [])
         elif line:
             body.append(line)
-    fields = {name: dict(_key_value(line) for line in lines)
+    values = {name: dict(_key_value(line) for line in lines)
               for name, lines in sections.items()}
 
     def parsed(name: str, what: str, text: str, parse):
@@ -211,12 +222,16 @@ def read_report(path) -> RunReport:
         except ValueError:
             raise ValueError(f"{path}: [{name}] bad {what}: {text!r}") from None
 
-    def get(name: str, key: str, parse=str):
-        if key not in fields.get(name, {}):
-            raise ValueError(f"{path}: [{name}] has no {key!r}")
-        return parsed(name, repr(key), fields[name][key], parse)
+    def section(name: str, rows) -> dict:
+        found, kwargs = values.get(name, {}), {}
+        for key, attr, _, parse in rows:
+            if key in found:
+                kwargs[attr] = parsed(name, repr(key), found[key], parse)
+            elif attr not in _OPTIONAL:
+                raise ValueError(f"{path}: [{name}] has no {key!r}")
+        return kwargs
 
-    header, mean = fields[""], fields.get("mean", {})
+    header = values[""]
     if header.get("schema") != REPORT_SCHEMA:
         raise ValueError(f"{path}: unsupported report schema "
                          f"{header.get('schema')!r}")
@@ -225,28 +240,11 @@ def read_report(path) -> RunReport:
         seed = parsed(name, "seed number", name[len("seed "):], int)
         history = [parsed(f"history {seed}", "line", line, _history_row)
                    for line in sections.get(f"history {seed}", [])]
-        seeds.append(SeedResult(
-            seed=seed,
-            balanced_accuracy=get(name, "balanced_accuracy", float),
-            weighted_f1=get(name, "weighted_f1", float),
-            per_class=get(name, "per_class", _parse_per_class),
-            best_epoch=get(name, "best_epoch", int),
-            params_path=get(name, "params"),
-            history=history))
-
-    def _ci(key):
-        return get("mean", key, _ci_pair) if key in mean else None
-
-    return RunReport(
-        config=fields.get("config", {}),
-        manifest=get("data", "manifest"),
-        fingerprint=get("data", "fingerprint"),
-        seeds=seeds,
-        mean_balanced_accuracy=get("mean", "balanced_accuracy", float),
-        mean_weighted_f1=get("mean", "weighted_f1", float),
-        ci_balanced_accuracy=_ci("ci_balanced_accuracy"),
-        ci_weighted_f1=_ci("ci_weighted_f1"),
-        created=header.get("created", ""))
+        seeds.append(SeedResult(seed=seed, history=history,
+                                **section(name, _SEED_LINES)))
+    return RunReport(config=values.get("config", {}), seeds=seeds,
+                     created=header.get("created", ""),
+                     **section("data", _DATA_LINES), **section("mean", _MEAN_LINES))
 
 
 # ---- heatmaps ---------------------------------------------------------------------

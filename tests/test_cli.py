@@ -246,6 +246,24 @@ def test_non_finite_values_are_usage_errors_before_any_io(args, field, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def _no_read(path, *args):
+    raise AssertionError(f"read {path}")
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--hidden-dim", "0"],
+    ["grid", "--method", "multitask", "--attention-dim", "0"],
+], ids=["train-hidden-dim", "grid-attention-dim"])
+def test_model_flags_are_usage_errors_before_any_read(args, tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setattr(cli, "read_manifest", _no_read)
+    assert main(args + ["--data", str(tmp_path / "data"),
+                        "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "must be >= 1" in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_missing_data_dir_is_data_error(tmp_path):
     assert main(["train", "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "r.report")]) == 3
@@ -338,9 +356,14 @@ def test_eval_self_compare_p_is_one(baseline_run, capsys):
     assert "1.0000" in out
 
 
-def test_eval_params_archive_needs_manifest(baseline_run, dataset, capsys):
+def test_eval_params_archive_needs_manifest(baseline_run, dataset, monkeypatch,
+                                            capsys):
     archive = baseline_run.parent / "base_params_seed1.npz"
-    assert main(["eval", str(archive)]) == 3
+    with monkeypatch.context() as patch:  # refused before the archive is read
+        patch.setattr(cli, "load_params", _no_read)
+        assert main(["eval", str(archive)]) == 2
+    assert capsys.readouterr().err == ("error: --manifest (or --data) required "
+                                       "when evaluating a parameter archive\n")
     assert main(["eval", str(archive), "--manifest",
                  str(dataset / "manifest.tsv"), "--bootstrap", "50"]) == 0
     out = capsys.readouterr().out

@@ -116,9 +116,57 @@ def test_report_optional_fields_default_to_none(tmp_path):
     assert back.ci_weighted_f1 is None
 
 
-@pytest.mark.parametrize("section, key", [("data", "manifest"),
-                                          ("seed 37", "best_epoch"),
-                                          ("mean", "weighted_f1")])
+SAMPLE_REPORT_TEXT = """\
+schema: wsdmil-report/1
+created: 2026-01-01T00:00:00Z
+
+[config]
+method: weighted
+model: abmil
+
+[data]
+manifest: data/manifest.tsv
+fingerprint: abababababababababababababababababababababababababababababababab
+
+[seed 13]
+params: params_13.npz
+balanced_accuracy: 0.3333333333333333
+weighted_f1: 0.25
+per_class: 1.0,-,0.3333333333333333,0.0
+best_epoch: 4
+
+[history 13]
+0 1.386 0.25
+1 1.101 0.3333333333333333
+
+[seed 37]
+params: params_37.npz
+balanced_accuracy: 0.5
+weighted_f1: 0.45
+per_class: 0.5,0.5,-,-
+best_epoch: 2
+
+[mean]
+balanced_accuracy: 0.41666666666666663
+weighted_f1: 0.35
+ci_balanced_accuracy: 0.3,0.52
+ci_weighted_f1: 0.28,0.44
+display: 41.7 (+30.0, +52.0)
+"""
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    path = tmp_path / "run.report"
+    write_report(sample_report(), path)
+    assert path.read_bytes() == SAMPLE_REPORT_TEXT.encode()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("data", "manifest"), ("data", "fingerprint"),
+    ("seed 37", "params"), ("seed 37", "balanced_accuracy"),
+    ("seed 37", "weighted_f1"), ("seed 37", "per_class"),
+    ("seed 37", "best_epoch"),
+    ("mean", "balanced_accuracy"), ("mean", "weighted_f1")])
 def test_report_missing_key_names_report_and_section(tmp_path, section, key):
     path = tmp_path / "partial.report"
     write_report(sample_report(), path)
