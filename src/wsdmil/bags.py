@@ -7,7 +7,7 @@ each forward pass widens them to float64, which is exact.  Bags, manifests
 and every other file this package writes are written atomically, through a
 temp file beside the target that is renamed over it.  The synthetic
 generator samples Gaussian prototype mixtures whose hardness and rater
-disagreement both grow with a latent difficulty, and its defaults are
+disagreement both grow with a latent difficulty, and its constants are
 calibrated so the consensus-level mix lands near the target fractions below.
 """
 
@@ -27,7 +27,7 @@ from .gleason import (
     ConsensusLevel,
     GleasonScore,
     class_of,
-    consensus_record,
+    consensus_level,
     parse_score,
 )
 
@@ -57,7 +57,7 @@ BAG_INSTANCES_MAX = 1187
 
 SPLITS = ("train", "val", "test")
 
-# Consensus-level mix the default generator settings aim for:
+# Consensus-level mix the generator's calibration aims for:
 # (homogeneous, heterogeneous, no consensus) as fractions of all slides.
 CALIBRATION_TARGETS = {
     ConsensusLevel.HOMOGENEOUS: 0.677,
@@ -276,55 +276,53 @@ def split_bags(entries, split: str) -> list[ManifestEntry]:
                   key=lambda e: e.slide_id)
 
 
+# The generator's calibration.  Each slide draws its class from CLASS_PRIOR
+# and a difficulty delta from Beta(DIFFICULTY_BETA, DIFFICULTY_BETA).  The
+# error curves below are calibrated against Beta(2, 2) moments so the
+# consensus mix lands on CALIBRATION_TARGETS: E[p] = 0.01 + 0.865 *
+# E[delta^3] = 0.183, and with the 65% graded prior, 0.65 * E[(1 - p) * q]
+# = 0.140.  Only graded slides can disagree on the secondary grade, so the
+# class prior and the secondary curve move together; re-solve the slope if
+# either changes.
+CLASS_PRIOR = (0.35, 0.27, 0.22, 0.16)
+DIFFICULTY_BETA = 2.0
+CONFUSION_MAX = 0.35    # neighbor share of the evidence direction at delta = 1
+# share of a graded slide's other instances from its secondary grade
+LOWER_FRACTION = 0.25
+
+
+def worst_error(delta: float) -> float:
+    """Probability the non-expert misreads the worst grade: convex, so
+    raters rarely miss easy slides and miss hard ones often."""
+    return 0.01 + 0.865 * delta ** 3.0
+
+
+def secondary_error(delta: float) -> float:
+    """Probability the non-expert's secondary grade drifts."""
+    return 0.06 + 0.814 * delta ** 2.0
+
+
+def evidence_fraction(delta: float) -> float:
+    """Fraction of instances carrying the slide's class evidence."""
+    return 0.75 - (0.75 - 0.40) * delta
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs for the synthetic cohort.
-
-    Difficulty delta is Beta(difficulty_alpha, difficulty_beta) per slide.
-    The worst-grade error rate grows as error_base + error_slope * delta **
-    error_power (convex by default: raters rarely miss easy slides and miss
-    hard ones often), the secondary-grade error follows the same form, and
-    the fraction of instances carrying the slide's class evidence shrinks
-    from evidence_max to evidence_min as delta goes 0 to 1.  Each slide
-    also leans toward one adjacent grade: its evidence direction slides a
-    confusion_max * delta share of the way toward that neighbor's
-    prototype (staying on its own side of the boundary), and when the
-    non-expert misreads the worst grade the misread lands on the same
-    neighbor.  Difficult slides are therefore boundary slides, and rater
-    disagreement points at the boundary they sit near.
-
-    The default error curves are calibrated against Beta(2, 2) moments so
-    the consensus mix lands on CALIBRATION_TARGETS: E[p] = 0.01 +
-    0.865 * E[delta^3] = 0.183, and with the default 65% graded prior,
-    0.65 * E[(1 - p) * q] = 0.140.  Only graded slides can disagree on the
-    secondary grade, so the class prior and the secondary curve move
-    together; re-solve the slope if either changes.
-    """
+    """Size, feature noise and seed of a synthetic cohort; the calibration
+    above fixes the rest."""
 
     n_train: int = 600
     n_val: int = 150
     n_test: int = 150
     feature_dim: int = 32
-    class_prior: tuple[float, float, float, float] = (0.35, 0.27, 0.22, 0.16)
-    difficulty_alpha: float = 2.0
-    difficulty_beta: float = 2.0
-    error_base: float = 0.01
-    error_slope: float = 0.865
-    error_power: float = 3.0
-    secondary_base: float = 0.06
-    secondary_slope: float = 0.814
-    secondary_power: float = 2.0
-    evidence_max: float = 0.75
-    evidence_min: float = 0.40
-    confusion_max: float = 0.35
-    lower_fraction: float = 0.25
     noise_sigma: float = 0.7
     size_factor: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         for name, v in vars(self).items():
-            if isinstance(v, (float, tuple)) and not np.isfinite(v).all():
+            if isinstance(v, float) and not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.n_train + self.n_val + self.n_test < 1:
             raise ValueError("at least one slide required")
@@ -332,43 +330,12 @@ class SynthConfig:
             raise ValueError("split sizes must be non-negative")
         if self.feature_dim < 2:
             raise ValueError(f"feature_dim must be >= 2, got {self.feature_dim}")
-        prior = np.asarray(self.class_prior, dtype=np.float64)
-        if prior.shape != (4,) or (prior < 0).any() or abs(prior.sum() - 1.0) > 1e-9:
-            raise ValueError(f"class_prior must be 4 non-negative values "
-                             f"summing to 1, got {self.class_prior}")
-        for name, base, slope in (("error", self.error_base, self.error_slope),
-                                  ("secondary", self.secondary_base, self.secondary_slope),
-                                  ("evidence", self.evidence_min,
-                                   self.evidence_max - self.evidence_min)):
-            lo, hi = sorted((base, base + slope))
-            if lo < 0.0 or hi > 1.0:
-                raise ValueError(f"{name} curve leaves [0, 1]: "
-                                 f"endpoints {base} and {base + slope}")
-        if not 0.0 <= self.lower_fraction <= 1.0:
-            raise ValueError(f"lower_fraction {self.lower_fraction} outside [0, 1]")
-        if self.error_power <= 0 or self.secondary_power <= 0:
-            raise ValueError("curve powers must be positive")
-        if not 0.0 <= self.confusion_max < 0.5:
-            raise ValueError(f"confusion_max {self.confusion_max} outside [0, 0.5); "
-                             f"at 0.5 the hardest slides sit on the class boundary")
         if self.noise_sigma < 0 or self.size_factor <= 0:
             raise ValueError("noise_sigma must be >= 0 and size_factor > 0")
 
     @property
     def n_total(self) -> int:
         return self.n_train + self.n_val + self.n_test
-
-    def worst_error(self, delta: float) -> float:
-        """Probability the non-expert misreads the worst grade."""
-        return self.error_base + self.error_slope * delta ** self.error_power
-
-    def secondary_error(self, delta: float) -> float:
-        """Probability the non-expert's secondary grade drifts."""
-        return self.secondary_base + self.secondary_slope * delta ** self.secondary_power
-
-    def evidence_fraction(self, delta: float) -> float:
-        """Fraction of instances carrying the slide's class evidence."""
-        return self.evidence_max - (self.evidence_max - self.evidence_min) * delta
 
 
 @dataclass
@@ -391,11 +358,11 @@ def _prototypes(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _evidence_direction(protos: np.ndarray, cls: int, lean: int,
-                        delta: float, confusion_max: float) -> np.ndarray:
+                        delta: float) -> np.ndarray:
     """Unit vector sliding from the class prototype toward the adjacent
     class it resembles.  The neighbor share caps below one half, so hard
     slides sit near the class boundary without crossing it."""
-    share = confusion_max * delta
+    share = CONFUSION_MAX * delta
     mix = (1.0 - share) * protos[cls] + share * protos[lean]
     return mix / np.linalg.norm(mix)
 
@@ -421,7 +388,7 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
 
     Deterministic: the same config produces byte-identical files.  Emits a
     warning when the achieved consensus mix strays more than 3 points from
-    the calibration targets, which is expected for non-default curves.
+    the calibration targets, which small cohorts do from sampling alone.
     """
     out_dir = Path(out_dir)
     bag_dir = out_dir / "bags"
@@ -429,7 +396,6 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
     resolved_dir = bag_dir.resolve()
     rng = np.random.default_rng(config.seed)
     protos = _prototypes(rng, config.feature_dim)
-    prior = np.asarray(config.class_prior, dtype=np.float64)
 
     split_of = (["train"] * config.n_train + ["val"] * config.n_val
                 + ["test"] * config.n_test)
@@ -438,8 +404,8 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
 
     for i in range(config.n_total):
         slide_id = f"s{i:05d}"
-        cls = int(rng.choice(4, p=prior))
-        delta = float(rng.beta(config.difficulty_alpha, config.difficulty_beta))
+        cls = int(rng.choice(4, p=CLASS_PRIOR))
+        delta = float(rng.beta(DIFFICULTY_BETA, DIFFICULTY_BETA))
         # the adjacent grade this slide resembles; benign leans toward
         # grade 3, grade 5 toward grade 4, the middle grades either way
         neighbors = [c for c in (cls - 1, cls + 1) if 0 <= c <= 3]
@@ -454,13 +420,11 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
             expert_secondary = int(rng.choice(_secondary_tokens(worst)))
             expert_text = _score_text(worst, expert_secondary, rng)
 
-        # non-expert label: with probability p(delta) the worst grade is
-        # misread as the neighbor the slide leans toward; otherwise the
-        # secondary may still differ
-        p_worst = config.worst_error(delta)
-        p_secondary = config.secondary_error(delta)
-        corrupt_worst = rng.random() < p_worst
-        corrupt_secondary = rng.random() < p_secondary
+        # non-expert label: with probability worst_error(delta) the worst
+        # grade is misread as the neighbor the slide leans toward; otherwise
+        # the secondary may still differ
+        corrupt_worst = rng.random() < worst_error(delta)
+        corrupt_secondary = rng.random() < secondary_error(delta)
         non_cls = lean if corrupt_worst else cls
         if non_cls == 0:
             nonexpert_text = "benign"
@@ -477,21 +441,20 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
 
         expert = parse_score(expert_text)
         nonexpert = parse_score(nonexpert_text)
-        level_counts[consensus_record(slide_id, expert, nonexpert).level] += 1
+        level_counts[consensus_level(expert, nonexpert)] += 1
 
         # features: evidence thins out and drifts toward the leaned-on
         # neighbor's prototype as delta grows
         n_full = int(rng.integers(BAG_INSTANCES_MIN, BAG_INSTANCES_MAX + 1))
         n = max(1, int(round(n_full * config.size_factor)))
-        n_evidence = int(round(config.evidence_fraction(delta) * n))
+        n_evidence = int(round(evidence_fraction(delta) * n))
         lower_proto = 4 if cls == 0 else (0 if expert_secondary == 0
                                           else expert_secondary - 2)
-        n_lower = 0 if cls == 0 else int(round(config.lower_fraction * (n - n_evidence)))
+        n_lower = 0 if cls == 0 else int(round(LOWER_FRACTION * (n - n_evidence)))
         assign = np.full(n, 4, dtype=np.intp)
         assign[n_evidence:n_evidence + n_lower] = lower_proto
         base = protos[assign]
-        base[:n_evidence] = _evidence_direction(protos, cls, lean, delta,
-                                                config.confusion_max)
+        base[:n_evidence] = _evidence_direction(protos, cls, lean, delta)
         features = base + config.noise_sigma * rng.standard_normal(
             (n, config.feature_dim))
 
@@ -507,8 +470,7 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
     manifest_path = out_dir / "manifest.tsv"
     write_manifest(entries, manifest_path)
 
-    total = max(1, config.n_total)
-    fractions = {lvl: level_counts[lvl] / total for lvl in ConsensusLevel}
+    fractions = {lvl: level_counts[lvl] / config.n_total for lvl in ConsensusLevel}
     drift = max(abs(fractions[lvl] - CALIBRATION_TARGETS[lvl]) for lvl in ConsensusLevel)
     if drift > 0.03:
         achieved = ", ".join(f"{lvl.value}={fractions[lvl]:.3f}" for lvl in ConsensusLevel)

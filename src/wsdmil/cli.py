@@ -20,8 +20,9 @@ import numpy as np
 from .bags import (generate_synthetic, open_atomic, read_bag, read_manifest,
                    split_bags, CALIBRATION_TARGETS, SynthConfig)
 from .gleason import (ConsensusLevel, WeightTriple, class_of, consensus_level)
-from .metrics import (balanced_accuracy, bootstrap_ci, confusion,
-                      paired_permutation_test, per_class_accuracy, weighted_f1)
+from .metrics import (PERMUTATION_STATISTICS, balanced_accuracy, bootstrap_ci,
+                      confusion, paired_permutation_test, per_class_accuracy,
+                      weighted_f1)
 from .models import HEAD_KINDS, ModelConfig, extract_attention, forward_bag
 from .reports import (RunReport, SeedResult, format_score, heatmap_grid,
                       load_params, manifest_fingerprint, read_report, save_params,
@@ -69,6 +70,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad seed list {text!r}") from exc
     if not seeds:
         raise UsageError("at least one seed required")
+    if len(set(seeds)) < len(seeds):
+        raise UsageError(f"bad seed list {text!r}: a seed is repeated")
     return seeds
 
 
@@ -547,8 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--compare", help="second report/archive for a paired "
                    "permutation test")
-    p.add_argument("--statistic", choices=("balanced_accuracy_diff",
-                                           "accuracy_diff"),
+    p.add_argument("--statistic", choices=PERMUTATION_STATISTICS,
                    default="balanced_accuracy_diff")
     p.add_argument("--permutations", type=int, default=10_000)
     p.set_defaults(func=cmd_eval)

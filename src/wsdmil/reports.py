@@ -202,19 +202,30 @@ def read_report(path) -> RunReport:
     """Parse a report written by write_report.
 
     One pass reads the file into ``{section: lines}``, where section "" is
-    the header, and the report is built from that.  A missing key raises a
-    ValueError naming the report and the section.
+    the header, and the report is built from that.  A missing key, and a
+    repeated section, key or seed, raise a ValueError naming the report and
+    the section.
     """
     sections: dict[str, list[str]] = {"": []}
     body = sections[""]
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if line.startswith("[") and line.endswith("]"):
-            body = sections.setdefault(line[1:-1], [])
+            if line[1:-1] in sections:
+                raise ValueError(f"{path}: repeated section {line}")
+            body = sections[line[1:-1]] = []
         elif line:
             body.append(line)
-    values = {name: dict(_key_value(line) for line in lines)
-              for name, lines in sections.items()}
+    values: dict[str, dict[str, str]] = {}
+    for name, lines in sections.items():
+        if name.startswith("history "):
+            continue
+        found = values[name] = {}
+        for key, value in map(_key_value, lines):
+            if key in found:
+                where = f"[{name}]" if name else "header"
+                raise ValueError(f"{path}: {where} repeated key {key!r}")
+            found[key] = value
 
     def parsed(name: str, what: str, text: str, parse):
         try:
@@ -238,6 +249,8 @@ def read_report(path) -> RunReport:
     seeds = []
     for name in (n for n in sections if n.startswith("seed ")):
         seed = parsed(name, "seed number", name[len("seed "):], int)
+        if any(s.seed == seed for s in seeds):
+            raise ValueError(f"{path}: [{name}] repeats seed {seed}")
         history = [parsed(f"history {seed}", "line", line, _history_row)
                    for line in sections.get(f"history {seed}", [])]
         seeds.append(SeedResult(seed=seed, history=history,

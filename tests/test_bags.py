@@ -11,15 +11,18 @@ from wsdmil.bags import (
     BagFormatError,
     ManifestEntry,
     SynthConfig,
+    evidence_fraction,
     generate_synthetic,
     open_atomic,
     read_bag,
     read_manifest,
+    secondary_error,
     split_bags,
+    worst_error,
     write_bag,
     write_manifest,
 )
-from wsdmil.gleason import ConsensusLevel, parse_score
+from wsdmil.gleason import ConsensusLevel, class_of, consensus_level, parse_score
 
 # tiny cohorts drift from the calibration targets; that warning is expected here
 pytestmark = pytest.mark.filterwarnings("ignore:consensus mix off calibration")
@@ -428,17 +431,6 @@ def test_generator_coords_unique_within_bag(tmp_path):
         assert len({(int(x), int(y)) for x, y in bag.coords}) == bag.n
 
 
-def test_zero_error_curves_give_full_consensus(tmp_path):
-    cfg = tiny_config(error_base=0.0, error_slope=0.0,
-                      secondary_base=0.0, secondary_slope=0.0)
-    with pytest.warns(UserWarning, match="calibration"):
-        res = generate_synthetic(cfg, tmp_path)
-    assert res.fractions[ConsensusLevel.HOMOGENEOUS] == 1.0
-    for entry in res.entries:
-        assert entry.nonexpert is not None
-        assert entry.expert.grade_multiset() == entry.nonexpert.grade_multiset()
-
-
 def test_default_curves_land_near_calibration_targets(tmp_path):
     cfg = tiny_config(n_train=1000, n_val=0, n_test=0, feature_dim=12,
                       size_factor=0.01, seed=3)
@@ -449,8 +441,7 @@ def test_default_curves_land_near_calibration_targets(tmp_path):
 
 def test_full_evidence_low_noise_is_linearly_separable(tmp_path):
     cfg = tiny_config(n_train=120, n_val=0, n_test=0, feature_dim=16,
-                      evidence_max=1.0, evidence_min=1.0, noise_sigma=0.01,
-                      size_factor=0.05, seed=7)
+                      noise_sigma=0.01, size_factor=0.05, seed=7)
     res = generate_synthetic(cfg, tmp_path)
     means = []
     labels = []
@@ -467,42 +458,30 @@ def test_full_evidence_low_noise_is_linearly_separable(tmp_path):
 
 
 def test_difficulty_curves_are_monotone():
-    cfg = tiny_config()
     grid = np.linspace(0.0, 1.0, 21)
-    worst = [cfg.worst_error(t) for t in grid]
-    secondary = [cfg.secondary_error(t) for t in grid]
-    evidence = [cfg.evidence_fraction(t) for t in grid]
+    worst = [worst_error(t) for t in grid]
+    secondary = [secondary_error(t) for t in grid]
+    evidence = [evidence_fraction(t) for t in grid]
     assert worst == sorted(worst)
     assert secondary == sorted(secondary)
     assert evidence == sorted(evidence, reverse=True)
-    assert cfg.worst_error(0.0) == cfg.error_base
-    assert cfg.evidence_fraction(0.0) == cfg.evidence_max
-    assert cfg.evidence_fraction(1.0) == pytest.approx(cfg.evidence_min)
+    assert worst_error(0.0) == 0.01
+    assert evidence_fraction(0.0) == 0.75
+    assert evidence_fraction(1.0) == pytest.approx(0.40)
 
 
-def test_evidence_curve_only_affects_features(tmp_path):
-    # same seed with a flat vs decreasing evidence curve: labels and bag
-    # shapes must match, only instance content may move
-    flat = generate_synthetic(tiny_config(evidence_max=0.75, evidence_min=0.75),
-                              tmp_path / "flat")
-    sloped = generate_synthetic(tiny_config(evidence_max=0.75, evidence_min=0.15),
-                                tmp_path / "sloped")
-    assert flat.manifest_path.read_text() == sloped.manifest_path.read_text()
-    for ef, es in zip(flat.entries, sloped.entries):
-        a = read_bag(ef.bag_path)
-        b = read_bag(es.bag_path)
-        assert a.features.shape == b.features.shape
-        np.testing.assert_array_equal(a.coords, b.coords)
+def test_no_consensus_misreads_land_on_an_adjacent_class(tmp_path):
+    res = generate_synthetic(tiny_config(n_train=1000, n_val=0, n_test=0,
+                                         feature_dim=12, size_factor=0.01, seed=3),
+                             tmp_path)
+    misread = [e for e in res.entries if consensus_level(e.expert, e.nonexpert)
+               is ConsensusLevel.NO_CONSENSUS]
+    assert len(misread) > 100
+    assert all(abs(class_of(e.expert) - class_of(e.nonexpert)) == 1 for e in misread)
 
 
 def test_synth_config_validation():
-    with pytest.raises(ValueError, match="class_prior"):
-        tiny_config(class_prior=(0.5, 0.5, 0.5, -0.5))
-    with pytest.raises(ValueError, match="curve"):
-        tiny_config(error_base=0.9, error_slope=0.3)
     with pytest.raises(ValueError, match="feature_dim"):
         tiny_config(feature_dim=1)
     with pytest.raises(ValueError, match="size_factor"):
         tiny_config(size_factor=0.0)
-    with pytest.raises(ValueError, match="lower_fraction"):
-        tiny_config(lower_fraction=1.5)

@@ -264,6 +264,18 @@ def test_model_flags_are_usage_errors_before_any_read(args, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [["train"], ["grid", "--method", "multitask"]],
+                         ids=["train", "grid"])
+def test_repeated_seed_is_usage_error_before_any_read(args, tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setattr(cli, "read_manifest", _no_read)
+    assert main(args + ["--seeds", "1,2,1", "--data", str(tmp_path / "data"),
+                        "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad seed list '1,2,1': a seed is repeated"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_missing_data_dir_is_data_error(tmp_path):
     assert main(["train", "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "r.report")]) == 3

@@ -201,6 +201,30 @@ def test_report_malformed_line_names_report_and_section(tmp_path, old, new,
     assert str(info.value).startswith(f"{path}: [{section}] bad ")
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("[mean]\n", "[seed 13]\nparams: other.npz\n\n[mean]\n",
+     "repeated section [seed 13]"),
+    ("[seed 37]\n", "[seed 013]\n", "[seed 013] repeats seed 13"),
+    ("[mean]\n", "[mean]\nbalanced_accuracy: 0.9\n",
+     "[mean] repeated key 'balanced_accuracy'"),
+    ("best_epoch: 2\n", "best_epoch: 2\nbest_epoch: 3\n",
+     "[seed 37] repeated key 'best_epoch'"),
+    ("[data]\n", "[data]\nmanifest: other.tsv\n", "[data] repeated key 'manifest'"),
+    ("[config]\n", "[config]\nmethod: baseline\n", "[config] repeated key 'method'"),
+    ("created: ", "created: x\ncreated: ", "header repeated key 'created'"),
+], ids=["section", "seed-number", "mean-key", "seed-key", "data-key",
+        "config-key", "header-key"])
+def test_report_repeated_section_or_key_is_an_error(tmp_path, old, new, message):
+    path = tmp_path / "repeated.report"
+    write_report(sample_report(), path)
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError) as info:
+        read_report(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_report_schema_is_checked(tmp_path):
     path = tmp_path / "old.report"
     path.write_text("schema: wsdmil-report/0\ncreated: x\n")

@@ -422,8 +422,7 @@ def test_float32_bags_train_to_the_same_bits_as_float64_copies(dataset, head):
 
 def test_baseline_learns_separable_toy(tmp_path):
     cfg = SynthConfig(n_train=40, n_val=16, n_test=0, feature_dim=12,
-                      evidence_max=1.0, evidence_min=1.0, noise_sigma=0.05,
-                      size_factor=0.02, seed=2)
+                      noise_sigma=0.05, size_factor=0.02, seed=2)
     entries = read_manifest(generate_synthetic(cfg, tmp_path).manifest_path)
     result = train(ModelConfig("abmil", 12, hidden_dim=16, attention_dim=8,
                                init_seed=1),
