@@ -72,6 +72,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         raise UsageError("at least one seed required")
     if len(set(seeds)) < len(seeds):
         raise UsageError(f"bad seed list {text!r}: a seed is repeated")
+    if min(seeds) < 0:
+        raise UsageError(f"--seeds must be >= 0, got {min(seeds)}")
     return seeds
 
 
@@ -87,13 +89,14 @@ def _parse_point(text: str, arity: int) -> tuple[float, ...]:
     return point
 
 
-def _check_counts(args, *flags: str) -> None:
-    """Reject a resample or permutation count below one before any file is
-    read."""
-    for flag in flags:
+def _check_at_least(args, **minimums: int) -> None:
+    """Reject an integer flag below its minimum (a count below one, a
+    negative seed) before any file is read or written."""
+    for flag, low in minimums.items():
         value = getattr(args, flag)
-        if value < 1:
-            raise UsageError(f"--{flag} must be >= 1, got {value}")
+        if value < low:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= {low}, "
+                             f"got {value}")
 
 
 def _data_root(args) -> Path:
@@ -146,6 +149,7 @@ def _load_samples(manifest_path: Path, *splits: str):
 
 
 def cmd_gen_synthetic(args) -> int:
+    _check_at_least(args, seed=0)
     if args.slides is not None:
         if args.slides < 1:
             raise UsageError("--slides must be >= 1")
@@ -244,7 +248,7 @@ def _score(models, samples, n_resamples, stats_seed):
 
 
 def cmd_train(args) -> int:
-    _check_counts(args, "bootstrap")
+    _check_at_least(args, bootstrap=1, stats_seed=0)
     weights = None
     if args.weights:
         weights = _config(WeightTriple, *_parse_point(args.weights, 3),
@@ -385,7 +389,7 @@ def _load_system(target: Path, manifest_path: Path | None):
 
 
 def cmd_eval(args) -> int:
-    _check_counts(args, "bootstrap", "permutations")
+    _check_at_least(args, bootstrap=1, permutations=1, stats_seed=0)
     manifest_path = None
     if args.manifest:
         manifest_path = Path(args.manifest)

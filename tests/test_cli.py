@@ -276,6 +276,30 @@ def test_repeated_seed_is_usage_error_before_any_read(args, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args,message", [
+    (["train", "--seeds", "-1"], "--seeds must be >= 0, got -1"),
+    (["grid", "--method", "multitask", "--seeds", "3,-2"],
+     "--seeds must be >= 0, got -2"),
+    (["train", "--stats-seed", "-1"], "--stats-seed must be >= 0, got -1"),
+    (["eval", "r.report", "--stats-seed", "-1"], "--stats-seed must be >= 0, got -1"),
+    (["gen-synthetic", "--seed", "-1"], "--seed must be >= 0, got -1"),
+], ids=["train-seeds", "grid-seeds", "train-stats-seed", "eval-stats-seed",
+        "gen-synthetic-seed"])
+def test_negative_seed_is_usage_error_before_any_io(args, message, tmp_path,
+                                                    monkeypatch, capsys):
+    for name in ("read_manifest", "read_report", "load_params", "generate_synthetic"):
+        monkeypatch.setattr(cli, name, _no_read)
+    if args[0] == "eval":
+        args = [args[0], str(tmp_path / args[1])] + args[2:]
+    elif args[0] == "gen-synthetic":
+        args = args + ["--out", str(tmp_path / "out")]
+    else:
+        args = args + ["--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_missing_data_dir_is_data_error(tmp_path):
     assert main(["train", "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "r.report")]) == 3

@@ -1,5 +1,6 @@
-"""Streamed bags: samples past the resident budget keep no features and
-read their bag again where it is used, with the same bits as a resident run.
+"""Streamed bags: full-size bags and samples past the resident budget keep
+no features and read their bag again where it is used, with the same bits as
+a resident run.
 """
 
 import weakref
@@ -141,24 +142,61 @@ def test_streamed_commands_write_the_bytes_of_resident_ones(dataset, tmp_path,
     assert "report metrics reproduced" in streamed[2]
 
 
-def test_resident_features_stay_within_the_budget(tmp_path):
-    # 12 slides of 1024-d features, about 30 MB: past the 16 MiB budget
-    cfg = SynthConfig(n_train=8, n_val=2, n_test=2, feature_dim=1024,
-                      size_factor=1.0, seed=3)
+def test_resident_features_stay_within_the_budget(tmp_path, monkeypatch):
+    # 1024-d bags of 7 to 119 instances: those of at most 64 instances hold
+    # at most 256 KiB of features, the others are full-size
+    cfg = SynthConfig(n_train=24, n_val=4, n_test=4, feature_dim=1024,
+                      size_factor=0.1, seed=3)
     manifest = generate_synthetic(cfg, tmp_path).manifest_path
-    samples = cli._load_samples(manifest, "train", "val", "test")
-    resident = 0
-    kinds = set()
-    for split in ("train", "val", "test"):
-        for s in samples[split]:
-            size = 4 * s.bag.n * s.bag.d
-            if isinstance(s.bag, Bag):
-                resident += size
-            else:   # streamed only when it would have overflowed the budget
-                assert resident + size > training.RESIDENT_BYTES
-            assert resident <= training.RESIDENT_BYTES
-            kinds.add(type(s.bag))
-    assert kinds == {Bag, BagOnDisk}
+    # at 1 MiB the budget, not only the bag size, streams some small bags
+    for budget in (training.RESIDENT_BYTES, 2**20):
+        monkeypatch.setattr(training, "RESIDENT_BYTES", budget)
+        samples = cli._load_samples(manifest, "train", "val", "test")
+        resident = 0
+        kinds = set()
+        for split in ("train", "val", "test"):
+            for s in samples[split]:
+                size = 4 * s.bag.n * s.bag.d
+                small = size <= training.RESIDENT_BAG_BYTES
+                if isinstance(s.bag, Bag):
+                    assert small
+                    resident += size
+                elif small:     # a small bag streams only past the budget
+                    assert resident + size > budget
+                assert resident <= budget
+                kinds.add((small, type(s.bag)))
+        assert kinds >= {(True, Bag), (False, BagOnDisk)}
+        assert ((True, BagOnDisk) in kinds) == (budget == 2**20)
+
+
+def test_step_graph_is_freed_before_adam(dataset, monkeypatch):
+    # each step's loss (by its data: a Tensor takes no weakref) and float64
+    # features, which the rest of its graph holds
+    alive = []
+    real_loss, real_features, real_step = (training.bag_loss, models._features,
+                                           training.adam_step)
+
+    def tracked_loss(*args):
+        loss = real_loss(*args)
+        alive.append(weakref.ref(loss.data))
+        return loss
+
+    def tracked_features(*args):
+        x = real_features(*args)
+        alive.append(weakref.ref(x))
+        return x
+
+    def checked_step(*args):
+        assert all(ref() is None for ref in alive)
+        return real_step(*args)
+
+    monkeypatch.setattr(training, "bag_loss", tracked_loss)
+    monkeypatch.setattr(models, "_features", tracked_features)
+    monkeypatch.setattr(training, "adam_step", checked_step)
+    samples = cli._load_samples(dataset / "manifest.tsv", "train", "val")
+    mc = ModelConfig("dsmil", 8, hidden_dim=8, attention_dim=4)
+    train(mc, TrainConfig(epochs=1), samples["train"], samples["val"])
+    assert len(alive) == 2 * 24 + 8
 
 
 def _fewer_instances(path):
