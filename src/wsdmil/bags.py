@@ -40,6 +40,7 @@ __all__ = [
     "CALIBRATION_TARGETS",
     "SPLITS",
     "open_atomic",
+    "read_text",
     "write_bag",
     "read_bag",
     "read_manifest",
@@ -135,6 +136,14 @@ def open_atomic(path):
         raise
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text; an undecodable byte raises a ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def write_bag(bag: Bag, path) -> None:
     """Serialize a bag (header, float32 features row-major, int32 coords)."""
     n, d = bag.features.shape
@@ -209,7 +218,7 @@ def read_manifest(path) -> list[ManifestEntry]:
     dirs: dict[str, Path] = {}       # bag directory as written -> resolved
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -367,16 +376,13 @@ def _evidence_direction(protos: np.ndarray, cls: int, lean: int,
     return mix / np.linalg.norm(mix)
 
 
-def _token_text(token: int, rng: np.random.Generator) -> str:
-    # benign-token secondaries surface as pattern 1 or 2 in the label text
-    return str(rng.integers(1, 3)) if token == 0 else str(token)
-
-
-def _score_text(worst: int, secondary_token: int, rng: np.random.Generator) -> str:
-    parts = [str(worst), _token_text(secondary_token, rng)]
+def _graded(worst: int, token: int, rng: np.random.Generator) -> GleasonScore:
+    """A graded label, its two patterns in either order; a benign secondary
+    token surfaces as pattern 1 or 2."""
+    secondary = int(rng.integers(1, 3)) if token == 0 else token
     if rng.random() < 0.5:
-        parts.reverse()
-    return "+".join(parts)
+        return GleasonScore(secondary, worst)
+    return GleasonScore(worst, secondary)
 
 
 def _secondary_tokens(worst: int) -> list[int]:
@@ -400,7 +406,6 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
     split_of = (["train"] * config.n_train + ["val"] * config.n_val
                 + ["test"] * config.n_test)
     entries: list[ManifestEntry] = []
-    level_counts = dict.fromkeys(ConsensusLevel, 0)
 
     for i in range(config.n_total):
         slide_id = f"s{i:05d}"
@@ -412,13 +417,10 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
         lean = int(neighbors[rng.integers(len(neighbors))])
 
         # expert label: ground truth by construction
-        if cls == 0:
-            expert_text = "benign"
-            expert_secondary = 0
-        else:
-            worst = cls + 2
-            expert_secondary = int(rng.choice(_secondary_tokens(worst)))
-            expert_text = _score_text(worst, expert_secondary, rng)
+        expert, expert_secondary = GleasonScore(0, 0), 0
+        if cls:
+            expert_secondary = int(rng.choice(_secondary_tokens(cls + 2)))
+            expert = _graded(cls + 2, expert_secondary, rng)
 
         # non-expert label: with probability worst_error(delta) the worst
         # grade is misread as the neighbor the slide leans toward; otherwise
@@ -426,9 +428,8 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
         corrupt_worst = rng.random() < worst_error(delta)
         corrupt_secondary = rng.random() < secondary_error(delta)
         non_cls = lean if corrupt_worst else cls
-        if non_cls == 0:
-            nonexpert_text = "benign"
-        else:
+        nonexpert = GleasonScore(0, 0)
+        if non_cls:
             worst = non_cls + 2
             if not corrupt_worst and not corrupt_secondary:
                 secondary = expert_secondary
@@ -437,11 +438,7 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
                 secondary = int(options[rng.integers(len(options))])
             else:
                 secondary = int(rng.choice(_secondary_tokens(worst)))
-            nonexpert_text = _score_text(worst, secondary, rng)
-
-        expert = parse_score(expert_text)
-        nonexpert = parse_score(nonexpert_text)
-        level_counts[consensus_level(expert, nonexpert)] += 1
+            nonexpert = _graded(worst, secondary, rng)
 
         # features: evidence thins out and drifts toward the leaned-on
         # neighbor's prototype as delta grows
@@ -470,7 +467,8 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
     manifest_path = out_dir / "manifest.tsv"
     write_manifest(entries, manifest_path)
 
-    fractions = {lvl: level_counts[lvl] / config.n_total for lvl in ConsensusLevel}
+    levels = [consensus_level(e.expert, e.nonexpert) for e in entries]
+    fractions = {lvl: levels.count(lvl) / config.n_total for lvl in ConsensusLevel}
     drift = max(abs(fractions[lvl] - CALIBRATION_TARGETS[lvl]) for lvl in ConsensusLevel)
     if drift > 0.03:
         achieved = ", ".join(f"{lvl.value}={fractions[lvl]:.3f}" for lvl in ConsensusLevel)

@@ -40,9 +40,6 @@ DATA_ROOT_ENV = "WSDMIL_DATA_ROOT"
 
 CLASS_DISPLAY = ("Benign", "Gleason 3", "Gleason 4", "Gleason 5")
 
-LEVEL_ORDER = (ConsensusLevel.HOMOGENEOUS, ConsensusLevel.HETEROGENEOUS,
-               ConsensusLevel.NO_CONSENSUS)
-
 # report key -> per-seed test metric, a function of the confusion matrix;
 # [mean] holds the seed mean and CI of each MEAN_METRICS key
 SEED_METRICS = {"balanced_accuracy": balanced_accuracy,
@@ -99,11 +96,24 @@ def _check_at_least(args, **minimums: int) -> None:
                              f"got {value}")
 
 
-def _data_root(args) -> Path:
+def _data_manifest(args) -> Path | None:
+    """manifest.tsv under --data, or else $WSDMIL_DATA_ROOT; None if neither."""
     root = args.data or os.environ.get(DATA_ROOT_ENV)
-    if not root:
-        raise UsageError(f"no data directory: pass --data or set {DATA_ROOT_ENV}")
-    return Path(root)
+    return Path(root) / "manifest.tsv" if root else None
+
+
+def _make_parent(path) -> Path:
+    """``path`` as a Path, once its parent directory exists."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _check_input_dim(archive, mc: ModelConfig, bag, where: str) -> None:
+    """Reject a model whose input dim is not the feature dim of ``where``."""
+    if mc.input_dim != bag.d:
+        raise ValueError(f"{archive} has model input dim {mc.input_dim}, but "
+                         f"{where} has feature dim {bag.d}")
 
 
 def _setup(args, *splits: str):
@@ -117,7 +127,9 @@ def _setup(args, *splits: str):
                            hidden_dim=args.hidden_dim,
                            attention_dim=args.attention_dim,
                            with_regression_head=(args.method == "multitask"))
-    manifest_path = _data_root(args) / "manifest.tsv"
+    manifest_path = _data_manifest(args)
+    if manifest_path is None:
+        raise UsageError(f"no data directory: pass --data or set {DATA_ROOT_ENV}")
     samples = _load_samples(manifest_path, *splits)
     model_config = replace(model_config, input_dim=samples[splits[0]][0].bag.d)
     return seeds, model_config, manifest_path, samples
@@ -168,7 +180,7 @@ def cmd_gen_synthetic(args) -> int:
     print(f"wrote {len(result.entries)} bags under {Path(args.out) / 'bags'}")
     print(f"manifest: {result.manifest_path}")
     print("consensus mix vs calibration targets:")
-    for level in LEVEL_ORDER:
+    for level in ConsensusLevel:
         print(f"  {level.value:<14} {result.fractions[level] * 100:5.1f}%"
               f"  (target {CALIBRATION_TARGETS[level] * 100:.1f}%)")
     return EXIT_OK
@@ -185,20 +197,18 @@ def cmd_consensus_stats(args) -> int:
                          f"{', '.join(missing[:10])}")
     if not entries:
         raise ValueError("manifest has no entries")
-    counts = {lvl: 0 for lvl in ConsensusLevel}
-    by_class = np.zeros((4, 3), dtype=np.int64)
+    levels = list(ConsensusLevel)
+    by_class = np.zeros((4, len(levels)), dtype=np.int64)
     for e in entries:
-        level = consensus_level(e.expert, e.nonexpert)
-        counts[level] += 1
-        by_class[class_of(e.expert), LEVEL_ORDER.index(level)] += 1
+        by_class[class_of(e.expert),
+                 levels.index(consensus_level(e.expert, e.nonexpert))] += 1
     total = len(entries)
     print(f"slides: {total}")
     print("overall consensus mix:")
-    for level in LEVEL_ORDER:
-        print(f"  {level.value:<14} {counts[level] * 100 / total:5.1f}%")
+    for level, count in zip(levels, by_class.sum(axis=0)):
+        print(f"  {level.value:<14} {count * 100 / total:5.1f}%")
     print("per expert class (homogeneous / heterogeneous / no consensus):")
-    for c, name in enumerate(CLASS_DISPLAY):
-        row = by_class[c]
+    for name, row in zip(CLASS_DISPLAY, by_class):
         if row.sum() == 0:
             print(f"  {name:<10} (no slides)")
             continue
@@ -261,8 +271,7 @@ def cmd_train(args) -> int:
     seeds, model_config, manifest_path, samples = _setup(args, "train", "val",
                                                          "test")
 
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _make_parent(args.out)
     configs = [replace(model_config, init_seed=seed) for seed in seeds]
     results = [train(mc, replace(train_config, seed=mc.init_seed),
                      samples["train"], samples["val"]) for mc in configs]
@@ -338,6 +347,8 @@ def cmd_grid(args) -> int:
     labels = [f"({','.join(f'{x:g}' for x in point)})" for point in points]
 
     seeds, model_config, _, samples = _setup(args, "train", "val")
+    if args.out:
+        _make_parent(args.out)
     result = grid_search(model_config, configs, samples["train"],
                          samples["val"], seeds)
 
@@ -390,12 +401,8 @@ def _load_system(target: Path, manifest_path: Path | None):
 
 def cmd_eval(args) -> int:
     _check_at_least(args, bootstrap=1, permutations=1, stats_seed=0)
-    manifest_path = None
-    if args.manifest:
-        manifest_path = Path(args.manifest)
-    elif args.data or os.environ.get(DATA_ROOT_ENV):
-        manifest_path = _data_root(args) / "manifest.tsv"
-    elif Path(args.target).suffix == ".npz":
+    manifest_path = Path(args.manifest) if args.manifest else _data_manifest(args)
+    if manifest_path is None and Path(args.target).suffix == ".npz":
         raise UsageError("--manifest (or --data) required when evaluating a "
                          "parameter archive")
 
@@ -410,10 +417,7 @@ def cmd_eval(args) -> int:
                              f"({len(models)} vs {len(other_models)})")
     bag = samples[0].bag  # _load_samples checked that all bags share one dim
     for path, (_, mc) in models + other_models:
-        if mc.input_dim != bag.d:
-            raise ValueError(f"{path} has model input dim {mc.input_dim}, but "
-                             f"slide {bag.slide_id} in {manifest_path} has "
-                             f"feature dim {bag.d}")
+        _check_input_dim(path, mc, bag, f"slide {bag.slide_id} in {manifest_path}")
     y_true, preds, per_seed_ms, cis = _score(
         [model for _, model in models], samples, args.bootstrap, args.stats_seed)
 
@@ -468,16 +472,13 @@ def cmd_eval(args) -> int:
 def cmd_attn_map(args) -> int:
     params, mc = load_params(Path(args.params))
     bag = read_bag(args.bag)
-    if mc.input_dim != bag.d:
-        raise ValueError(f"{args.params} has model input dim {mc.input_dim}, but "
-                         f"bag {args.bag} has feature dim {bag.d}")
+    _check_input_dim(args.params, mc, bag, f"bag {args.bag}")
     output = forward_bag({k: p.data for k, p in params.items()}, mc, bag)
     pairs = extract_attention(output, bag)
     grid = heatmap_grid(pairs)
-    out_prefix = Path(args.out_prefix)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    table_path = out_prefix.with_suffix(".txt")
-    image_path = out_prefix.with_suffix(".pgm")
+    # not Path.with_suffix, which would cut the ".s00001" off "abmil.s00001"
+    table_path = _make_parent(f"{args.out_prefix}.txt")
+    image_path = Path(f"{args.out_prefix}.pgm")
     write_attention_table(pairs, table_path)
     write_pgm(grid, image_path)
     print(f"bag {bag.slide_id}: {bag.n} instances, "

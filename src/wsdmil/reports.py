@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .bags import open_atomic
+from .bags import open_atomic, read_text
 from .models import ModelConfig, param_shapes
 
 __all__ = [
@@ -208,7 +208,7 @@ def read_report(path) -> RunReport:
     """
     sections: dict[str, list[str]] = {"": []}
     body = sections[""]
-    for raw in Path(path).read_text().splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if line.startswith("[") and line.endswith("]"):
             if line[1:-1] in sections:

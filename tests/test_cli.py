@@ -1,5 +1,6 @@
 """End-to-end command-line tests: every subcommand plus the exit-code map."""
 
+import hashlib
 import json
 import os
 import struct
@@ -69,6 +70,64 @@ def test_gen_synthetic_seed_changes_bytes(tmp_path, dataset):
     assert main(["gen-synthetic", "--out", str(tmp_path / "c")] + args) == 0
     assert (tmp_path / "c" / "manifest.tsv").read_bytes() != \
         (dataset / "manifest.tsv").read_bytes()
+
+
+# One small cohort's bytes and stdout, recorded from the generator that
+# formatted each label as text and parsed it back; they must not move.
+PINNED_GEN = ["--splits", "8,2,2", "--dim", "4", "--size-factor", "0.02",
+              "--seed", "5"]
+PINNED_MANIFEST = "72f3dc7190b280ab2cb53cf11e5ae35267f9c18462092deac4741697e798ce02"
+PINNED_BAGS = {
+    "s00000": "6479ae3825866a8cf872476101b3b6453a9577ae839890db5bff8b1ef687a3bf",
+    "s00001": "376c8f12b8c4e8b016f74dc4452e8cacfa452c3670bf3b1595e932063eb3cd61",
+    "s00002": "fcbbb0dba951f7dca027e468b4b123be76cd91b6f77f6dc3d1f59cd07b54c131",
+    "s00003": "17f0c2a2732843491d8d883594f0f62c9bb7d12cf4a5a97a6f2d99e744d092dc",
+    "s00004": "088f5156385968abd7a9c6dbf5a4d02181d531a8e4b3d82932e9a40156fd1533",
+    "s00005": "dbd4b1b22c0cda34bc4da316efeddbc7030b7cdb3ee6cf21f778c2f3820b98f9",
+    "s00006": "a2bc4292c653e77c87e4ad7d385fc6f52b6b3152f8f6cb73d4201bdd57739526",
+    "s00007": "3caff3b74fc30d638494e1964a649a307c51abcfc271d3f7aaf5c0ac261210ba",
+    "s00008": "778be5c07b943977470e5f231ad64b64ce15dee7013a37c10ad9cb0d2d67c3c1",
+    "s00009": "34b749996a6380b9f774e8efda9bc11237d58b918da0cc1d83f6f8bd46c5dd8a",
+    "s00010": "d4888d2240938a1e0d3d5f1cb06f73bddba21b689c4bfae5642ca67a3bd35cea",
+    "s00011": "6cf0564f8086f9a691683c1098ec0c89f69e7da8dc411df542b9495825a4c5ab",
+}
+PINNED_GEN_STDOUT = """\
+wrote 12 bags under ds/bags
+manifest: ds/manifest.tsv
+consensus mix vs calibration targets:
+  homogeneous     58.3%  (target 67.7%)
+  heterogeneous   33.3%  (target 14.0%)
+  no_consensus     8.3%  (target 18.3%)
+"""
+PINNED_STATS_STDOUT = """\
+slides: 12
+overall consensus mix:
+  homogeneous     58.3%
+  heterogeneous   33.3%
+  no_consensus     8.3%
+per expert class (homogeneous / heterogeneous / no consensus):
+  Benign      66.7% /   0.0% /  33.3%   (n=3)
+  Gleason 3   60.0% /  40.0% /   0.0%   (n=5)
+  Gleason 4   50.0% /  50.0% /   0.0%   (n=4)
+  Gleason 5  (no slides)
+"""
+
+
+def test_gen_synthetic_and_consensus_stats_match_pinned_output(tmp_path,
+                                                              monkeypatch,
+                                                              capsys):
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["gen-synthetic", "--out", "ds"] + PINNED_GEN) == 0
+    assert capsys.readouterr().out == PINNED_GEN_STDOUT
+    assert main(["consensus-stats", "--manifest", "ds/manifest.tsv"]) == 0
+    assert capsys.readouterr().out == PINNED_STATS_STDOUT
+    assert sha256(tmp_path / "ds" / "manifest.tsv") == PINNED_MANIFEST
+    assert {p.stem: sha256(p)
+            for p in (tmp_path / "ds" / "bags").iterdir()} == PINNED_BAGS
 
 
 def test_gen_synthetic_slides_shorthand(tmp_path, capsys):
@@ -305,6 +364,18 @@ def test_train_missing_data_dir_is_data_error(tmp_path):
                  "--out", str(tmp_path / "r.report")]) == 3
 
 
+def test_undecodable_manifest_is_data_error_naming_it(dataset, tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(b"# \xff" + (dataset / "manifest.tsv").read_bytes())
+    capsys.readouterr()
+    assert main(["consensus-stats", "--manifest", str(manifest)]) == 3
+    assert main(["train", "--data", str(tmp_path),
+                 "--out", str(tmp_path / "r.report")] + FAST_TRAIN) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: {manifest}: 'utf-8' codec can't decode byte "
+                   f"0xff in position 2: invalid start byte"] * 2
+
+
 def test_train_runaway_lr_is_numeric_error(dataset, tmp_path):
     with np.errstate(all="ignore"):
         code = main(["train", "--data", str(dataset), "--lr", "1e200",
@@ -349,6 +420,16 @@ def test_grid_failed_table_write_keeps_the_old_table(dataset, tmp_path,
     assert "disk full" in capsys.readouterr().err
     assert table.read_text() == "old table\n"
     assert [p.name for p in tmp_path.iterdir()] == ["grid.txt"]
+
+
+def test_grid_out_creates_its_directory(dataset, tmp_path, capsys):
+    table = tmp_path / "new" / "dir" / "grid.txt"
+    assert main(["grid", "--data", str(dataset), "--method", "multitask",
+                 "--grid-ab", "(1,0)", "--model", "maxmil", "--hidden-dim", "8",
+                 "--attention-dim", "4", "--epochs", "1", "--seeds", "1",
+                 "--out", str(table)]) == 0
+    assert capsys.readouterr().out.endswith(f"table: {table}\n")
+    assert "bal_acc" in table.read_text()
 
 
 def test_grid_rejects_bad_points(dataset):
@@ -436,6 +517,16 @@ def test_eval_report_missing_key_is_data_error(baseline_run, tmp_path, capsys):
     assert main(["eval", str(report)]) == 3
     err = capsys.readouterr().err
     assert f"{report}: [seed 1] has no 'weighted_f1'" in err
+
+
+def test_undecodable_report_is_data_error_naming_it(baseline_run, tmp_path,
+                                                    capsys):
+    report = tmp_path / "base.report"
+    report.write_bytes(b"\xff" + "".join(_copy_run(baseline_run, report)).encode())
+    assert main(["eval", str(report)]) == 3
+    assert capsys.readouterr().err == (f"data error: {report}: 'utf-8' codec can't "
+                                       f"decode byte 0xff in position 0: invalid "
+                                       f"start byte\n")
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -620,6 +711,19 @@ def test_attn_map_exports_table_and_pgm(baseline_run, dataset, tmp_path, capsys)
     table = prefix.with_suffix(".txt").read_text().splitlines()
     assert table[0] == "# x\ty\tweight"
     assert prefix.with_suffix(".pgm").read_bytes().startswith(b"P5\n")
+
+
+def test_attn_map_keeps_a_dotted_prefix_whole(baseline_run, dataset, tmp_path,
+                                              capsys):
+    archive = baseline_run.parent / "base_params_seed1.npz"
+    bags = sorted((dataset / "bags").glob("*.bag"))[:2]
+    for bag in bags:
+        assert main(["attn-map", "--params", str(archive), "--bag", str(bag),
+                     "--out-prefix", str(tmp_path / "viz" / f"abmil.{bag.stem}")]) == 0
+    assert sorted(p.name for p in (tmp_path / "viz").iterdir()) == sorted(
+        f"abmil.{bag.stem}{ext}" for bag in bags for ext in (".pgm", ".txt"))
+    out = capsys.readouterr().out
+    assert f"attention table: {tmp_path / 'viz' / 'abmil.'}{bags[1].stem}.txt" in out
 
 
 def test_attn_map_single_instance_is_full_brightness(baseline_run, tmp_path):
