@@ -5,8 +5,10 @@ Each primitive is one module-level op (``matmul``, ``linear``, ``relu``,
 ...) that computes its value with numpy, checks its operand shapes and
 gives the vjp of each operand.  Operands are Tensors or plain 2-D float64
 arrays.  With no Tensor operand an op returns the value as an ndarray and
-builds no graph, which is how inference runs.  Otherwise it returns a node
-whose parents are its Tensor operands; plain operands are constants.
+builds no graph, which is how inference runs; there an operand may also be
+a (k, m, n) stack, whose k matrices get the bits each would get alone.
+Otherwise it returns a node whose parents are its Tensor operands; plain
+operands are constants.
 
 Calling ``backward()`` on a scalar node sweeps the graph in reverse
 topological order and accumulates adjoints into ``.grad`` of every
@@ -163,7 +165,7 @@ def add(a, b):
     """Elementwise sum of equal shapes."""
     if isinstance(a, Tensor) or isinstance(b, Tensor):
         return _node("add", add(value(a), value(b)), (a, lambda g: g), (b, lambda g: g))
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise ShapeError("add", a.shape, b.shape)
     return a + b
 
@@ -173,7 +175,7 @@ def mul(a, b):
     if isinstance(a, Tensor) or isinstance(b, Tensor):
         x, y = value(a), value(b)
         return _node("mul", mul(x, y), (a, lambda g: g * y), (b, lambda g: g * x))
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise ShapeError("mul", a.shape, b.shape)
     return a * b
 
@@ -191,7 +193,7 @@ def matmul(a, b):
         x, y = value(a), value(b)
         return _node("matmul", matmul(x, y),
                      (a, lambda g: g @ y.T), (b, lambda g: x.T @ g))
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul", a.shape, b.shape)
     return a @ b
 
@@ -203,7 +205,7 @@ def linear(x, w, b):
         return _node("linear", linear(xa, wa, value(b)),
                      (x, lambda g: g @ wa.T), (w, lambda g: xa.T @ g),
                      (b, lambda g: g.sum(axis=0, keepdims=True)))
-    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+    if x.shape[-1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeError("linear", x.shape, w.shape, b.shape)
     y = x @ w
     y += b
@@ -235,7 +237,7 @@ def sigmoid(x):
 def transpose(x):
     if isinstance(x, Tensor):
         return Tensor(transpose(x.data), "transpose", ((x, lambda g: g.T),))
-    return x.T.copy()
+    return np.swapaxes(x, -1, -2).copy()
 
 
 def softmax_rows(x):
@@ -243,8 +245,8 @@ def softmax_rows(x):
         s = softmax_rows(x.data)
         return Tensor(s, "softmax_rows",
                       ((x, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True))),))
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def max_rows(x):
@@ -252,10 +254,11 @@ def max_rows(x):
     lowest row index, which alone receives the adjoint.  The value is read
     at the argmax cells, which the vjp needs, so both paths compute it."""
     a = value(x)
-    cells = (np.argmax(a, axis=0), np.arange(a.shape[1]))
-    y = a[cells].reshape(1, -1)
+    rows = np.argmax(a, axis=-2)[..., None, :]
+    y = np.take_along_axis(a, rows, axis=-2)
     if not isinstance(x, Tensor):
         return y
+    cells = (rows[0], np.arange(a.shape[1]))
     return Tensor(y, "max_rows", ((x, lambda g: _scatter(a.shape, cells, g[0])),))
 
 
@@ -264,7 +267,7 @@ def mean_rows(x):
         a = x.data
         return Tensor(mean_rows(a), "mean_rows",
                       ((x, lambda g: np.broadcast_to(g / a.shape[0], a.shape)),))
-    return x.mean(axis=0, keepdims=True)
+    return x.mean(axis=-2, keepdims=True)
 
 
 def concat_rows(operands: Sequence):
@@ -275,21 +278,23 @@ def concat_rows(operands: Sequence):
         return _node("concat_rows", concat_rows(arrays),
                      *((t, lambda g, lo=lo, hi=hi: g[lo:hi])
                        for t, lo, hi in zip(operands, bounds[:-1], bounds[1:])))
-    if len({a.shape[1] for a in operands}) != 1:
+    if len({a.shape[-1] for a in operands}) != 1:
         raise ShapeError("concat_rows", *(a.shape for a in operands))
-    return np.vstack(operands)
+    return np.concatenate(operands, axis=-2)
 
 
 def take_rows(x, indices: Sequence[int]):
-    """Gather rows of x by index (duplicates allowed); scatter-adds on backward."""
+    """Gather rows of x by index (duplicates allowed); scatter-adds on backward.
+    A (k, m, n) stack takes (k, j) indices, j rows from each matrix."""
     idx = np.asarray(indices, dtype=np.intp)
     if isinstance(x, Tensor):
         a = x.data
         return Tensor(take_rows(a, idx), "take_rows",
                       ((x, lambda g: _scatter(a.shape, idx, g)),))
-    if idx.ndim != 1 or idx.size == 0 or idx.min() < 0 or idx.max() >= x.shape[0]:
-        raise ShapeError("take_rows", x.shape, (idx.size,))
-    return x[idx]
+    if (idx.ndim != x.ndim - 1 or idx.size == 0 or idx.min() < 0
+            or idx.max() >= x.shape[-2]):
+        raise ShapeError("take_rows", x.shape, idx.shape)
+    return np.take_along_axis(x, idx[..., None], axis=-2)
 
 
 Tensor.__add__, Tensor.__mul__, Tensor.__matmul__ = add, mul, matmul

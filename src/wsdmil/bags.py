@@ -137,9 +137,10 @@ def open_atomic(path):
 
 
 def read_text(path) -> str:
-    """A UTF-8 file's text; an undecodable byte raises a ValueError naming it."""
+    """A UTF-8 file's text, without a leading byte order mark; an
+    undecodable byte raises a ValueError naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -102,6 +102,13 @@ def _data_manifest(args) -> Path | None:
     return Path(root) / "manifest.tsv" if root else None
 
 
+def _check_file_path(flag: str, path: str) -> None:
+    """Reject an output path whose last component is empty or names an
+    existing directory, before any file is read or written."""
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise UsageError(f"{flag} {path!r} must name a file, not a directory")
+
+
 def _make_parent(path) -> Path:
     """``path`` as a Path, once its parent directory exists."""
     path = Path(path)
@@ -223,7 +230,10 @@ def cmd_consensus_stats(args) -> int:
 
 def _seed_mean_ci(y_true, preds_per_seed, metric_fn, n_resamples, seed):
     """Bootstrap CI of the seed-mean metric; a resampled slide keeps its
-    label and every seed's prediction for it.
+    label and every seed's prediction for it.  ``metric_fn`` maps a stack of
+    confusion matrices to one value per matrix, or to k values per matrix
+    along a new first axis; k metrics share one draw of resamples and give a
+    list of k CIs.
 
     A slide's record holds its confusion cell ``4 * label + prediction`` for
     each seed, offset by 16 per seed.  A chunk of resamples is offset by
@@ -239,7 +249,7 @@ def _seed_mean_ci(y_true, preds_per_seed, metric_fn, n_resamples, seed):
         rows = len(chunk)
         cells = chunk.reshape(rows, -1) + 16 * seeds * np.arange(rows)[:, None]
         counts = np.bincount(cells.ravel(), minlength=16 * seeds * rows)
-        return metric_fn(counts.reshape(rows, seeds, 4, 4)).sum(axis=-1) / seeds
+        return (metric_fn(counts.reshape(rows, seeds, 4, 4)).sum(axis=-1) / seeds).T
 
     return bootstrap_ci(records, metric, n_resamples=n_resamples, seed=seed,
                         stacked=True)
@@ -252,13 +262,15 @@ def _score(models, samples, n_resamples, stats_seed):
     y_true = np.array([s.label for s in samples], dtype=np.int64)
     preds = [predict_classes(params, mc, samples) for params, mc in models]
     confusions = [confusion(y_true, p) for p in preds]
-    cis = {key: _seed_mean_ci(y_true, preds, SEED_METRICS[key], n_resamples,
-                              stats_seed) for key in MEAN_METRICS}
+    cis = dict(zip(MEAN_METRICS, _seed_mean_ci(
+        y_true, preds, lambda m: np.stack([SEED_METRICS[k](m) for k in MEAN_METRICS]),
+        n_resamples, stats_seed)))
     return y_true, preds, confusions, cis
 
 
 def cmd_train(args) -> int:
     _check_at_least(args, bootstrap=1, stats_seed=0)
+    _check_file_path("--out", args.out)
     weights = None
     if args.weights:
         weights = _config(WeightTriple, *_parse_point(args.weights, 3),
@@ -321,6 +333,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    if args.out:
+        _check_file_path("--out", args.out)
     if args.method == "multitask":
         if args.grid_weights:
             raise UsageError("--grid-weights only applies to --method weighted")
@@ -470,6 +484,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_attn_map(args) -> int:
+    _check_file_path("--out-prefix", args.out_prefix)
     params, mc = load_params(Path(args.params))
     bag = read_bag(args.bag)
     _check_input_dim(args.params, mc, bag, f"bag {args.bag}")

@@ -206,7 +206,9 @@ def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
     ...)`` stack of resamples, and returns its ``rows`` statistics; the
     point estimate is its statistic of the one-resample stack
     ``records[None]``.  Such a metric must be defined on every resample: a
-    ValueError propagates instead of skipping the resample.
+    ValueError propagates instead of skipping the resample.  It may return
+    ``(rows, k)`` statistics of k metrics of one resample each; the result
+    is then a list of k results, each the one its column alone would give.
     """
     records = np.asarray(records)
     if len(records) == 0:
@@ -215,14 +217,15 @@ def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
         raise ValueError("n_resamples must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    point = float(metric(records[None])[0] if stacked else metric(records))
+    point = metric(records[None])[0] if stacked else float(metric(records))
     rng = np.random.default_rng(seed)
     n = len(records)
     rows = max(1, BOOTSTRAP_CHUNK // n)
     stats = []
     skipped = 0
     for done in range(0, n_resamples, rows):
-        chunk = records[rng.integers(0, n, size=(min(rows, n_resamples - done), n))]
+        drawn = rng.integers(0, n, size=(min(rows, n_resamples - done), n))
+        chunk = np.take(records, drawn, axis=0)   # records[drawn], ~10x faster on 2-D
         if stacked:
             stats.extend(metric(chunk))
             continue
@@ -237,6 +240,9 @@ def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
         warnings.warn(f"bootstrap skipped {skipped}/{n_resamples} resamples "
                       f"with undefined metric")
     tail = 100.0 * (1.0 - level) / 2.0
-    low, high = np.percentile(stats, [tail, 100.0 - tail])
-    return BootstrapResult(point=point, low=float(low), high=float(high),
+    low, high = np.percentile(stats, [tail, 100.0 - tail], axis=0)
+    if np.ndim(point):
+        return [BootstrapResult(float(p), float(lo), float(hi))
+                for p, lo, hi in zip(point, low, high)]
+    return BootstrapResult(point=float(point), low=float(low), high=float(high),
                            n_skipped=skipped)

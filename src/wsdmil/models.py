@@ -68,6 +68,7 @@ class BagOutput:
     On Tensor parameters, class_logits (1, 4) and wsd_prediction (1, 1) are
     graph nodes for loss backprop; on plain-array parameters they are
     ndarrays and no graph is built.  attention is always a detached ndarray.
+    A stack of k bags gives (k, 1, 4), (k, n) and (k, 1, 1) ndarrays.
     """
 
     class_logits: Tensor | np.ndarray
@@ -123,10 +124,20 @@ def _features(params: dict, first_layer: str, features: np.ndarray) -> np.ndarra
     """The bag's features as the forward's input: a float64 constant (float32
     widens here, which is exact) for Tensor and plain parameters alike."""
     weight = params[first_layer]
-    if features.shape[1] != weight.shape[0]:
-        raise ValueError(f"bag feature dim {features.shape[1]} does not match "
+    if features.shape[-1] != weight.shape[0]:
+        raise ValueError(f"bag feature dim {features.shape[-1]} does not match "
                          f"model input dim {weight.shape[0]}")
     return np.asarray(features, dtype=np.float64)
+
+
+def _input(params: dict, first_layer: str, features) -> np.ndarray:
+    """One bag's (n, d) features, or the (k, n, d) stack of a list of k
+    equal-size bags' features, each widened by ``_features``; a list of one
+    gives a view of its widened features, not a copy."""
+    if isinstance(features, np.ndarray):
+        return _features(params, first_layer, features)
+    widened = [_features(params, first_layer, f) for f in features]
+    return widened[0][None] if len(widened) == 1 else np.stack(widened)
 
 
 def _linear(params: dict, layer: str, x):
@@ -140,29 +151,31 @@ def _regress(params: dict, pooled):
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
-    """Min-max normalize to [0, 1]; constant input maps to 0.5, except a
-    single value which is a trivially dominant instance and maps to 1.0."""
+    """Min-max normalize to [0, 1] along the last axis; constant input maps
+    to 0.5, except a single value which is a trivially dominant instance and
+    maps to 1.0."""
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 1:
-        return np.ones(1)
-    lo, hi = values.min(), values.max()
-    if hi - lo == 0.0:
-        return np.full(values.shape, 0.5)
-    return (values - lo) / (hi - lo)
+    if values.shape[-1] == 1:
+        return np.ones(values.shape)
+    lo = values.min(axis=-1, keepdims=True)
+    span = values.max(axis=-1, keepdims=True) - lo
+    return np.where(span == 0.0, 0.5, (values - lo) / np.where(span == 0.0, 1.0, span))
 
 
 # Each head takes a name -> parameter dict of Tensors (training) or of plain
-# arrays (inference), and runs the same ops on either.
+# arrays (inference), and runs the same ops on either.  On plain arrays it
+# also takes a list of k equal-size bags' features and runs them as one
+# (k, n, d) stack, with the bits of k separate forwards.
 
 
 def forward_maxmil(params: dict, features: np.ndarray) -> BagOutput:
     """Instance-level MLP with per-class max pooling of instance logits."""
-    x = _features(params, "embed.w", features)
+    x = _input(params, "embed.w", features)
     hidden = relu(_linear(params, "embed", x))                   # (n, H)
     inst_logits = _linear(params, "cls", hidden)                  # (n, 4)
     logits = max_rows(inst_logits)                                # (1, 4)
     pooled = mean_rows(hidden)                                    # (1, H)
-    scores = value(inst_logits).max(axis=1)
+    scores = value(inst_logits).max(axis=-1)
     return BagOutput(class_logits=logits,
                      attention=_minmax(scores),
                      wsd_prediction=_regress(params, pooled))
@@ -171,7 +184,7 @@ def forward_maxmil(params: dict, features: np.ndarray) -> BagOutput:
 def forward_abmil(params: dict, features: np.ndarray,
                   gated: bool = False) -> BagOutput:
     """Attention pooling over embedded instances, optionally gated."""
-    x = _features(params, "embed.w", features)
+    x = _input(params, "embed.w", features)
     hidden = relu(_linear(params, "embed", x))                   # (n, H)
     branch = tanh(matmul(hidden, params["attn_v.w"]))             # (n, L)
     if gated:
@@ -181,7 +194,7 @@ def forward_abmil(params: dict, features: np.ndarray,
     z = matmul(attn, hidden)                                      # (1, H)
     logits = _linear(params, "cls", z)                            # (1, 4)
     return BagOutput(class_logits=logits,
-                     attention=value(attn)[0].copy(),
+                     attention=value(attn)[..., 0, :].copy(),
                      wsd_prediction=_regress(params, z))
 
 
@@ -193,16 +206,16 @@ def forward_dsmil(params: dict, features: np.ndarray) -> BagOutput:
     all instances against its query, and classifies the attention-pooled
     value vectors per class.  Final logits average the two streams.
     """
-    x = _features(params, "inst.w", features)
+    x = _input(params, "inst.w", features)
     inst_logits = _linear(params, "inst", x)                      # (n, 4)
     queries = _linear(params, "query", x)                         # (n, L)
     values = _linear(params, "value", x)                          # (n, H)
 
-    crit = np.argmax(value(inst_logits), axis=0)                  # per class
+    crit = np.argmax(value(inst_logits), axis=-2)                 # per class
     attn_rows = []
     bag_rows = []
     for c in range(N_CLASSES):
-        q_crit = take_rows(queries, [int(crit[c])])               # (1, L)
+        q_crit = take_rows(queries, crit[..., c:c + 1])           # (1, L)
         scores = transpose(matmul(queries, transpose(q_crit)))    # (1, n)
         attn_c = softmax_rows(scores)
         attn_rows.append(attn_c)
@@ -213,10 +226,11 @@ def forward_dsmil(params: dict, features: np.ndarray) -> BagOutput:
                      params["bag_cls.b"])                         # (1, 4)
     logits = scale(add(max_rows(inst_logits), bag_logits), 0.5)
 
-    predicted = int(np.argmax(value(logits)[0]))
+    predicted = np.argmax(value(logits), axis=-1)                 # (1,)
+    attn = np.concatenate([value(a) for a in attn_rows], axis=-2)  # (4, n)
     pooled = mean_rows(bag_embed)                                 # (1, H)
     return BagOutput(class_logits=logits,
-                     attention=value(attn_rows[predicted])[0].copy(),
+                     attention=take_rows(attn, predicted)[..., 0, :],
                      wsd_prediction=_regress(params, pooled))
 
 
@@ -228,9 +242,11 @@ _HEADS = {
 }
 
 
-def forward_bag(params: dict, config: ModelConfig, bag: Bag) -> BagOutput:
-    """Dispatch a bag through the configured head."""
-    return _HEADS[config.head_kind](params, bag.features)
+def forward_bag(params: dict, config: ModelConfig, bag: Bag | list[Bag]) -> BagOutput:
+    """Dispatch a bag, or a list of equal-size bags as one stack (plain-array
+    parameters only), through the configured head."""
+    features = bag.features if isinstance(bag, Bag) else [b.features for b in bag]
+    return _HEADS[config.head_kind](params, features)
 
 
 def extract_attention(output: BagOutput, bag: Bag) -> list[tuple[tuple[int, int], float]]:

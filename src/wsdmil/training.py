@@ -99,7 +99,7 @@ class TrainConfig:
 # largest bag it keeps: reading and validating a bag again costs 50-86% of an
 # abmil forward on a 62 x 32 bag, but 5-8% of a DSMIL forward on a d=1024 bag
 # (66 us at 272 KiB, 985 us at 4.7 MiB).  Every other bag is read again where
-# it is used.
+# it is used.  predict_classes stacks at most RESIDENT_BAG_BYTES of features.
 RESIDENT_BYTES = 16 * 2**20
 RESIDENT_BAG_BYTES = 256 * 2**10
 
@@ -307,11 +307,26 @@ def predict_classes(params: dict[str, Tensor], model_config: ModelConfig,
 
     The forward passes run on the parameters' plain arrays (no copy), so
     they build no graph and leave every parameter's ``.grad`` as it was.
-    A streamed sample's bag is read for its forward pass only.
+    Resident samples with the same instance count run in stacks of at most
+    ``RESIDENT_BAG_BYTES`` of float32 features, and a stack gives each bag
+    the logits of its own forward to the bit.  A streamed sample's bag is
+    read and run alone, for its forward pass only, before the next is read.
     """
     arrays = {k: p.data for k, p in params.items()}
-    return np.array([forward_bag(arrays, model_config, s.load()).predicted_class()
-                     for s in samples], dtype=np.int64)
+    classes = np.empty(len(samples), dtype=np.int64)
+    # sample indices by instance count; a streamed bag has a key of its own
+    stacks: dict[int, list[int]] = {}
+    for i, s in enumerate(samples):
+        stacks.setdefault(s.bag.n if isinstance(s.bag, Bag) else -1 - i, []).append(i)
+    for members in stacks.values():
+        bag = samples[members[0]].bag
+        size = max(1, RESIDENT_BAG_BYTES // (4 * bag.n * bag.d))
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            output = forward_bag(arrays, model_config,
+                                 [samples[i].load() for i in chunk])
+            classes[chunk] = np.argmax(output.class_logits[:, 0], axis=-1)
+    return classes
 
 
 def train(model_config: ModelConfig, config: TrainConfig,

@@ -376,6 +376,44 @@ def test_undecodable_manifest_is_data_error_naming_it(dataset, tmp_path, capsys)
                    f"0xff in position 2: invalid start byte"] * 2
 
 
+def test_manifest_with_byte_order_mark_reads_as_without(dataset, tmp_path,
+                                                        capsys):
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    (bom / "bags").symlink_to(dataset / "bags")
+    raw = (dataset / "manifest.tsv").read_bytes()
+    (bom / "manifest.tsv").write_bytes(b"\xef\xbb\xbf" + raw)
+    outputs = []
+    for root in (dataset, bom):
+        capsys.readouterr()
+        assert main(["consensus-stats", "--manifest",
+                     str(root / "manifest.tsv")]) == 0
+        assert main(["train", "--data", str(root), "--out",
+                     str(tmp_path / root.name / "r.report")] + FAST_TRAIN) == 0
+        out = capsys.readouterr().out.replace(str(tmp_path / root.name), "OUT")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    # the fingerprint still hashes the bytes, mark included
+    report = read_report(tmp_path / "bom" / "r.report")
+    assert report.fingerprint == hashlib.sha256(b"\xef\xbb\xbf" + raw).hexdigest()
+
+
+@pytest.mark.parametrize("args", [["train"], ["grid", "--method", "multitask"]],
+                         ids=["train", "grid"])
+@pytest.mark.parametrize("out", ["existing", "slash"])
+def test_out_naming_a_directory_is_usage_error_before_any_read(
+        args, out, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "read_manifest", _no_read)
+    target = tmp_path / "runs"
+    target.mkdir()
+    path = str(target) if out == "existing" else str(tmp_path / "new") + os.sep
+    assert main(args + ["--data", str(tmp_path / "data"), "--out", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out {path!r} must name a file, not a directory"]
+    assert [p.name for p in tmp_path.iterdir()] == ["runs"]
+    assert list(target.iterdir()) == []
+
+
 def test_train_runaway_lr_is_numeric_error(dataset, tmp_path):
     with np.errstate(all="ignore"):
         code = main(["train", "--data", str(dataset), "--lr", "1e200",
@@ -724,6 +762,22 @@ def test_attn_map_keeps_a_dotted_prefix_whole(baseline_run, dataset, tmp_path,
         f"abmil.{bag.stem}{ext}" for bag in bags for ext in (".pgm", ".txt"))
     out = capsys.readouterr().out
     assert f"attention table: {tmp_path / 'viz' / 'abmil.'}{bags[1].stem}.txt" in out
+
+
+@pytest.mark.parametrize("prefix", ["slash", "existing"])
+def test_attn_map_prefix_naming_a_directory_is_usage_error(baseline_run, dataset,
+                                                          tmp_path, capsys, prefix):
+    viz = tmp_path / "viz"
+    viz.mkdir()
+    text = str(viz) + os.sep if prefix == "slash" else str(viz)
+    bag = sorted((dataset / "bags").glob("*.bag"))[0]
+    assert main(["attn-map", "--params",
+                 str(baseline_run.parent / "base_params_seed1.npz"),
+                 "--bag", str(bag), "--out-prefix", text]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out-prefix {text!r} must name a file, not a directory"]
+    assert list(tmp_path.iterdir()) == [viz]
+    assert list(viz.iterdir()) == []
 
 
 def test_attn_map_single_instance_is_full_brightness(baseline_run, tmp_path):

@@ -329,6 +329,22 @@ def test_stacked_bootstrap_chunks_hold_the_per_resample_draws(n):
                                                           plain.high)
 
 
+def test_stacked_bootstrap_of_k_metrics_equals_k_single_runs():
+    records = np.random.default_rng(6).integers(0, 50, size=(40, 3))
+
+    def total(chunk):
+        return chunk.sum(axis=(1, 2)).astype(np.float64)
+
+    def spread(chunk):
+        return (chunk.max(axis=(1, 2)) - chunk.min(axis=(1, 2))).astype(np.float64)
+
+    both = bootstrap_ci(records, lambda c: np.stack([total(c), spread(c)], axis=1),
+                        n_resamples=300, seed=2, stacked=True)
+    single = [bootstrap_ci(records, fn, n_resamples=300, seed=2, stacked=True)
+              for fn in (total, spread)]
+    assert both == single
+
+
 def test_stacked_bootstrap_propagates_an_undefined_metric():
     def undefined(chunk):
         raise ValueError("no samples")

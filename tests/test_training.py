@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from wsdmil import training
 from wsdmil.autodiff import Tensor, grad_check
 from wsdmil.bags import (Bag, SynthConfig, generate_synthetic, read_manifest,
-                         split_bags)
+                         split_bags, write_bag)
 from wsdmil.gleason import WeightTriple, consensus_record, parse_score, wsd_weight
 from wsdmil.metrics import balanced_accuracy, confusion, weighted_f1
 from wsdmil.models import HEAD_KINDS, BagOutput, ModelConfig, forward_bag, init_model
@@ -500,7 +501,8 @@ def test_predict_classes_builds_no_gradients(dataset, monkeypatch):
     monkeypatch.setattr(Tensor, "__init__",
                         lambda self, *a, **kw: made.append(init(self, *a, **kw)))
     predict_classes(params, mc, dataset["val"])
-    assert len(outputs) == len(dataset["val"])
+    # one output per stack of equal-size bags, one logit row per bag
+    assert sum(len(o.class_logits) for o in outputs) == len(dataset["val"])
     assert made == []
     assert all(type(o.class_logits) is np.ndarray
                and type(o.wsd_prediction) is np.ndarray for o in outputs)
@@ -561,6 +563,90 @@ def test_predict_classes_handles_one_and_two_instance_bags(head):
                for n in (1, 2, 7, 1)]
     live = [forward_bag(params, mc, s.bag).predicted_class() for s in samples]
     assert predict_classes(params, mc, samples).tolist() == live
+
+
+def _mixed_samples(tmp_path, dtype):
+    """Bags of 5, 1, 5, 3, 5, 5, 1, 5, 5, 5, 3 and 1 instances, in that
+    order; the third, tenth and last are on disk, the others resident."""
+    rng = np.random.default_rng(21)
+    samples = []
+    for i, n in enumerate((5, 1, 5, 3, 5, 5, 1, 5, 5, 5, 3, 1)):
+        bag = Bag(f"s{i:02d}", rng.standard_normal((n, 6)).astype(dtype),
+                  np.stack([np.arange(n)] * 2, axis=1))
+        if i in (2, 9, 11):
+            path = tmp_path / f"{bag.slide_id}.bag"
+            write_bag(bag, path)
+            bag = training.BagOnDisk(path, bag.slide_id, n, 6)
+        samples.append(training.Sample(bag, i % 4))
+    return samples
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("reg", [False, True])
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_stacked_predictions_equal_per_bag_forwards(tmp_path, monkeypatch,
+                                                    head, reg, dtype):
+    # a stack holds three 5-instance bags' float32 features, so the five
+    # resident 5-instance bags run as 3 + 2
+    monkeypatch.setattr(training, "RESIDENT_BAG_BYTES", 3 * 4 * 5 * 6)
+    mc = ModelConfig(head, 6, hidden_dim=7, attention_dim=3,
+                     with_regression_head=reg, init_seed=4)
+    params = init_model(mc)
+    samples = _mixed_samples(tmp_path, dtype)
+    stacks = []
+
+    def recording_forward(params, config, bags):
+        out = forward_bag(params, config, bags)
+        stacks.append(([b.slide_id for b in bags], out))
+        return out
+
+    monkeypatch.setattr(training, "forward_bag", recording_forward)
+    classes = predict_classes(params, mc, samples)
+    # stacks in order of each size's first bag; a streamed bag runs alone
+    assert [ids for ids, _ in stacks] == [
+        ["s00", "s04", "s05"], ["s07", "s08"], ["s01", "s06"], ["s02"],
+        ["s03", "s10"], ["s09"], ["s11"]]
+    rows = {sid: (out, j) for ids, out in stacks for j, sid in enumerate(ids)}
+    arrays = {k: p.data for k, p in params.items()}
+    expected = []
+    for s in samples:
+        single = forward_bag(arrays, mc, s.load())
+        out, j = rows[s.bag.slide_id]
+        assert out.class_logits[j].tobytes() == single.class_logits.tobytes()
+        if reg:
+            assert out.wsd_prediction[j].tobytes() == single.wsd_prediction.tobytes()
+        expected.append(single.predicted_class())
+    assert classes.tolist() == expected
+
+
+def test_streamed_prediction_forwards_each_bag_before_the_next_read(tmp_path,
+                                                                    monkeypatch):
+    monkeypatch.setattr(training, "RESIDENT_BYTES", 0)
+    cfg = SynthConfig(n_train=1, n_val=12, n_test=1, feature_dim=4,
+                      size_factor=0.02, seed=2)
+    entries = read_manifest(generate_synthetic(cfg, tmp_path).manifest_path)
+    samples = samples_from_entries(split_bags(entries, "val"))
+    assert len({s.bag.n for s in samples}) < len(samples)   # sizes repeat
+    events, read = [], []
+    real_read = training.read_bag
+
+    def logged_read(*args, **kwargs):
+        assert all(ref() is None for ref in read)   # no earlier bag is held
+        bag = real_read(*args, **kwargs)
+        read.append(weakref.ref(bag.features))
+        events.append(("read", bag.slide_id))
+        return bag
+
+    def logged_forward(params, config, bags):
+        events.append(("forward", [b.slide_id for b in bags]))
+        return forward_bag(params, config, bags)
+
+    monkeypatch.setattr(training, "read_bag", logged_read)
+    monkeypatch.setattr(training, "forward_bag", logged_forward)
+    mc = tiny_model(4, head="dsmil")
+    predict_classes(init_model(mc), mc, samples)
+    assert events == [event for s in samples for event in
+                      (("read", s.bag.slide_id), ("forward", [s.bag.slide_id]))]
 
 
 @pytest.mark.parametrize("head", HEAD_KINDS)
