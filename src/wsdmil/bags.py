@@ -257,7 +257,7 @@ def write_manifest(entries, path) -> None:
 
     As in ``read_manifest``, each distinct bag directory is resolved once
     and the file name joined to it.  A bag outside the manifest's directory
-    keeps its path as given.
+    is written as an absolute path.
     """
     path = Path(path)
     base = path.parent.resolve()
@@ -271,7 +271,7 @@ def write_manifest(entries, path) -> None:
         try:
             rel = (folder / bag_path.name).relative_to(base)
         except ValueError:
-            rel = bag_path
+            rel = bag_path.absolute()
         non = "-" if e.nonexpert is None else str(e.nonexpert)
         lines.append(f"{e.slide_id}\t{rel.as_posix()}\t{e.expert}\t{non}\t{e.split}")
     with open_atomic(path) as fh:

@@ -169,6 +169,8 @@ def _load_samples(manifest_path: Path, *splits: str):
 
 def cmd_gen_synthetic(args) -> int:
     _check_at_least(args, seed=0)
+    if args.slides is not None and args.splits is not None:
+        raise UsageError("give --slides or --splits, not both")
     if args.slides is not None:
         if args.slides < 1:
             raise UsageError("--slides must be >= 1")
@@ -176,10 +178,11 @@ def cmd_gen_synthetic(args) -> int:
         n_val = round(args.slides / 6)
         n_test = args.slides - n_train - n_val
     else:
+        splits = "600,150,150" if args.splits is None else args.splits
         try:
-            n_train, n_val, n_test = (int(t) for t in args.splits.split(","))
+            n_train, n_val, n_test = (int(t) for t in splits.split(","))
         except ValueError as exc:
-            raise UsageError(f"bad --splits {args.splits!r}") from exc
+            raise UsageError(f"bad --splits {splits!r}") from exc
     config = _config(SynthConfig, n_train=n_train, n_val=n_val, n_test=n_test,
                      feature_dim=args.dim, seed=args.seed,
                      size_factor=args.size_factor, noise_sigma=args.noise_sigma)
@@ -530,8 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--slides", type=int, default=None,
                    help="total slides, split 4:1:1 into train/val/test")
-    p.add_argument("--splits", default="600,150,150",
-                   help="explicit train,val,test counts")
+    p.add_argument("--splits", default=None,
+                   help="explicit train,val,test counts (default 600,150,150)")
     p.add_argument("--dim", type=int, default=32, help="feature dimension")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size-factor", type=float, default=0.1,

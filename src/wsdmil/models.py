@@ -68,7 +68,8 @@ class BagOutput:
     On Tensor parameters, class_logits (1, 4) and wsd_prediction (1, 1) are
     graph nodes for loss backprop; on plain-array parameters they are
     ndarrays and no graph is built.  attention is always a detached ndarray.
-    A stack of k bags gives (k, 1, 4), (k, n) and (k, 1, 1) ndarrays.
+    A (k, n, d) stack of k bags, which forward_bag makes of a list, gives
+    (k, 1, 4), (k, n) and (k, 1, 1) ndarrays.
     """
 
     class_logits: Tensor | np.ndarray
@@ -121,23 +122,13 @@ def init_model(config: ModelConfig) -> dict[str, Tensor]:
 
 
 def _features(params: dict, first_layer: str, features: np.ndarray) -> np.ndarray:
-    """The bag's features as the forward's input: a float64 constant (float32
-    widens here, which is exact) for Tensor and plain parameters alike."""
+    """An (n, d) bag or (k, n, d) stack as the forward's float64 input: float32
+    widens here, which is exact, and a float64 array is returned uncopied."""
     weight = params[first_layer]
     if features.shape[-1] != weight.shape[0]:
         raise ValueError(f"bag feature dim {features.shape[-1]} does not match "
                          f"model input dim {weight.shape[0]}")
     return np.asarray(features, dtype=np.float64)
-
-
-def _input(params: dict, first_layer: str, features) -> np.ndarray:
-    """One bag's (n, d) features, or the (k, n, d) stack of a list of k
-    equal-size bags' features, each widened by ``_features``; a list of one
-    gives a view of its widened features, not a copy."""
-    if isinstance(features, np.ndarray):
-        return _features(params, first_layer, features)
-    widened = [_features(params, first_layer, f) for f in features]
-    return widened[0][None] if len(widened) == 1 else np.stack(widened)
 
 
 def _linear(params: dict, layer: str, x):
@@ -164,13 +155,13 @@ def _minmax(values: np.ndarray) -> np.ndarray:
 
 # Each head takes a name -> parameter dict of Tensors (training) or of plain
 # arrays (inference), and runs the same ops on either.  On plain arrays it
-# also takes a list of k equal-size bags' features and runs them as one
-# (k, n, d) stack, with the bits of k separate forwards.
+# also takes a (k, n, d) stack of k equal-size bags and gives each bag the
+# bits of its own forward.
 
 
 def forward_maxmil(params: dict, features: np.ndarray) -> BagOutput:
     """Instance-level MLP with per-class max pooling of instance logits."""
-    x = _input(params, "embed.w", features)
+    x = _features(params, "embed.w", features)
     hidden = relu(_linear(params, "embed", x))                   # (n, H)
     inst_logits = _linear(params, "cls", hidden)                  # (n, 4)
     logits = max_rows(inst_logits)                                # (1, 4)
@@ -184,7 +175,7 @@ def forward_maxmil(params: dict, features: np.ndarray) -> BagOutput:
 def forward_abmil(params: dict, features: np.ndarray,
                   gated: bool = False) -> BagOutput:
     """Attention pooling over embedded instances, optionally gated."""
-    x = _input(params, "embed.w", features)
+    x = _features(params, "embed.w", features)
     hidden = relu(_linear(params, "embed", x))                   # (n, H)
     branch = tanh(matmul(hidden, params["attn_v.w"]))             # (n, L)
     if gated:
@@ -206,7 +197,7 @@ def forward_dsmil(params: dict, features: np.ndarray) -> BagOutput:
     all instances against its query, and classifies the attention-pooled
     value vectors per class.  Final logits average the two streams.
     """
-    x = _input(params, "inst.w", features)
+    x = _features(params, "inst.w", features)
     inst_logits = _linear(params, "inst", x)                      # (n, 4)
     queries = _linear(params, "query", x)                         # (n, L)
     values = _linear(params, "value", x)                          # (n, H)
@@ -243,10 +234,11 @@ _HEADS = {
 
 
 def forward_bag(params: dict, config: ModelConfig, bag: Bag | list[Bag]) -> BagOutput:
-    """Dispatch a bag, or a list of equal-size bags as one stack (plain-array
-    parameters only), through the configured head."""
-    features = bag.features if isinstance(bag, Bag) else [b.features for b in bag]
-    return _HEADS[config.head_kind](params, features)
+    """Dispatch a bag, or a list of equal-size bags as one float64 (k, n, d)
+    stack (plain-array parameters only), through the configured head."""
+    x = (bag.features if isinstance(bag, Bag)
+         else np.stack([b.features for b in bag], dtype=np.float64))
+    return _HEADS[config.head_kind](params, x)
 
 
 def extract_attention(output: BagOutput, bag: Bag) -> list[tuple[tuple[int, int], float]]:

@@ -320,6 +320,22 @@ def test_write_manifest_follows_symlinked_bag_directories(tmp_path):
         sample_bag(seed=2).features.astype(np.float32).tobytes()
 
 
+def test_write_manifest_keeps_a_relative_bag_outside_its_directory(tmp_path,
+                                                                   monkeypatch):
+    # "s0.bag" names a file in the working directory, not in data/
+    (tmp_path / "work").mkdir()
+    (tmp_path / "data").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    write_bag(sample_bag(seed=0), "s0.bag")
+    manifest = "../data/manifest.tsv"
+    write_manifest([ManifestEntry("s0", "s0.bag", parse_score("3+4"),
+                                  parse_score("3+4"), "train")], manifest)
+    [back] = read_manifest(manifest)
+    assert back.bag_path == (tmp_path / "work" / "s0.bag").resolve()
+    assert read_bag(back.bag_path).features.tobytes() == \
+        sample_bag(seed=0).features.astype(np.float32).tobytes()
+
+
 def test_manifest_skips_comments_and_blank_lines(tmp_path):
     entries = manifest_entries(tmp_path, n=1)
     path = tmp_path / "manifest.tsv"

@@ -150,6 +150,14 @@ def test_gen_synthetic_usage_errors(tmp_path):
                  "--splits", "4,1,1", "--dim", "1"]) == 2
 
 
+def test_gen_synthetic_rejects_slides_with_splits(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["gen-synthetic", "--out", str(out), "--slides", "12",
+                 "--splits", "2,2,2"]) == 2
+    assert "--slides or --splits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---- train ------------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ attention invariants."""
 import numpy as np
 import pytest
 
+from wsdmil import models
 from wsdmil.bags import Bag
 from wsdmil.models import (
     HEAD_KINDS,
@@ -264,6 +265,27 @@ def test_plain_array_forward_rejects_wrong_feature_dim():
     params = {k: p.data for k, p in init_model(config("dsmil")).items()}
     with pytest.raises(ValueError, match="input dim"):
         forward_dsmil(params, np.zeros((3, D + 2)))
+
+
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_bag_list_reaches_the_head_as_one_float64_stack(head, monkeypatch):
+    # forward_bag widens a list of float32 bags into one stack, so the head's
+    # _features sees one float64 (k, n, d) array and returns that object
+    seen = []
+    real = models._features
+
+    def tracked(params, first_layer, features):
+        x = real(params, first_layer, features)
+        seen.append((features, x))
+        return x
+
+    monkeypatch.setattr(models, "_features", tracked)
+    bags = [random_bag(n=4, seed=i) for i in range(3)]
+    bags = [Bag(b.slide_id, b.features.astype(np.float32), b.coords) for b in bags]
+    forward_bag(numpy_params(head), config(head), bags)
+    [(features, x)] = seen
+    assert x is features
+    assert (x.dtype, x.shape) == (np.float64, (3, 4, D))
 
 
 def test_predicted_class_is_argmax():

@@ -171,7 +171,8 @@ def test_resident_features_stay_within_the_budget(tmp_path, monkeypatch):
 
 def test_step_graph_is_freed_before_adam(dataset, monkeypatch):
     # each step's loss (by its data: a Tensor takes no weakref) and float64
-    # features, which the rest of its graph holds
+    # features, which the rest of its graph holds, once per bag: a
+    # validation stack holds as many bags as it has rows
     alive = []
     real_loss, real_features, real_step = (training.bag_loss, models._features,
                                            training.adam_step)
@@ -183,7 +184,7 @@ def test_step_graph_is_freed_before_adam(dataset, monkeypatch):
 
     def tracked_features(*args):
         x = real_features(*args)
-        alive.append(weakref.ref(x))
+        alive.extend([weakref.ref(x)] * (len(x) if x.ndim == 3 else 1))
         return x
 
     def checked_step(*args):
