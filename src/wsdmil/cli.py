@@ -299,8 +299,7 @@ def cmd_train(args) -> int:
         save_params(result.params, mc, out_path.parent / params_name)
         seed_results.append(SeedResult(
             seed=seed, best_epoch=result.best_epoch, params_path=params_name,
-            history=[(h.epoch, h.train_loss, h.val_balanced_accuracy)
-                     for h in result.history],
+            history=result.history,
             **{key: fn(m) for key, fn in SEED_METRICS.items()}))
         print(f"seed {seed}: test balanced accuracy "
               f"{format_score(seed_results[-1].balanced_accuracy)}, "
@@ -366,23 +365,21 @@ def cmd_grid(args) -> int:
     seeds, model_config, _, samples = _setup(args, "train", "val")
     if args.out:
         _make_parent(args.out)
-    result = grid_search(model_config, configs, samples["train"],
-                         samples["val"], seeds)
+    means, best = grid_search(model_config, configs, samples["train"],
+                              samples["val"], seeds)
 
-    header = ["point"] + [label + ("*" if i == result.best_index else "")
+    header = ["point"] + [label + ("*" if i == best else "")
                           for i, label in enumerate(labels)]
-    ba_row = ["bal_acc"] + [f"{r.mean_balanced_accuracy * 100:.1f}"
-                            for r in result.rows]
-    f1_row = ["w_f1"] + [f"{r.mean_weighted_f1 * 100:.1f}" for r in result.rows]
+    ba_row = ["bal_acc"] + [f"{ba * 100:.1f}" for ba, _ in means]
+    f1_row = ["w_f1"] + [f"{f1 * 100:.1f}" for _, f1 in means]
     widths = [max(len(col[i]) for col in (header, ba_row, f1_row))
               for i in range(len(header))]
     lines = [f"method: {args.method}  model: {args.model}  "
              f"seeds: {','.join(str(s) for s in seeds)}"]
     for row in (header, ba_row, f1_row):
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    lines.append(f"best: {labels[result.best_index]} "
-                 f"(validation balanced accuracy "
-                 f"{result.best.mean_balanced_accuracy * 100:.1f})")
+    lines.append(f"best: {labels[best]} (validation balanced accuracy "
+                 f"{means[best][0] * 100:.1f})")
     table = "\n".join(lines)
     print(table)
     if args.out:
@@ -418,8 +415,12 @@ def _load_system(target: Path, manifest_path: Path | None):
 
 def cmd_eval(args) -> int:
     _check_at_least(args, bootstrap=1, permutations=1, stats_seed=0)
-    manifest_path = Path(args.manifest) if args.manifest else _data_manifest(args)
-    if manifest_path is None and Path(args.target).suffix == ".npz":
+    archive = Path(args.target).suffix == ".npz"
+    # $WSDMIL_DATA_ROOT stands in for --data on an archive only: a report
+    # runs on its recorded manifest unless --manifest or --data replaces it
+    manifest_path = (Path(args.manifest) if args.manifest
+                     else _data_manifest(args) if args.data or archive else None)
+    if manifest_path is None and archive:
         raise UsageError("--manifest (or --data) required when evaluating a "
                          "parameter archive")
 
@@ -491,13 +492,13 @@ def cmd_attn_map(args) -> int:
     params, mc = load_params(Path(args.params))
     bag = read_bag(args.bag)
     _check_input_dim(args.params, mc, bag, f"bag {args.bag}")
-    output = forward_bag({k: p.data for k, p in params.items()}, mc, bag)
-    pairs = extract_attention(output, bag)
-    grid = heatmap_grid(pairs)
+    output = forward_bag(params, mc, bag)
+    weights = extract_attention(output, bag)
+    grid = heatmap_grid(bag.coords, weights)
     # not Path.with_suffix, which would cut the ".s00001" off "abmil.s00001"
     table_path = _make_parent(f"{args.out_prefix}.txt")
     image_path = Path(f"{args.out_prefix}.pgm")
-    write_attention_table(pairs, table_path)
+    write_attention_table(bag.coords, weights, table_path)
     write_pgm(grid, image_path)
     print(f"bag {bag.slide_id}: {bag.n} instances, "
           f"predicted {CLASS_DISPLAY[output.predicted_class()]}")
@@ -568,8 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[data, stats],
                        help="evaluate a report or parameter archive")
     p.add_argument("target", help="run report (.txt) or parameter archive (.npz)")
-    p.add_argument("--manifest", help="manifest to evaluate on "
-                   "(default: the one recorded in the report)")
+    p.add_argument("--manifest", help="manifest to evaluate on (default: "
+                   "--data's; else the one recorded in a report, or "
+                   f"${DATA_ROOT_ENV}'s for an archive)")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--compare", help="second report/archive for a paired "
                    "permutation test")

@@ -241,11 +241,9 @@ def forward_bag(params: dict, config: ModelConfig, bag: Bag | list[Bag]) -> BagO
     return _HEADS[config.head_kind](params, x)
 
 
-def extract_attention(output: BagOutput, bag: Bag) -> list[tuple[tuple[int, int], float]]:
-    """Pair patch coordinates with min-max normalized attention weights."""
+def extract_attention(output: BagOutput, bag: Bag) -> np.ndarray:
+    """Min-max normalized attention weights, one per row of ``bag.coords``."""
     if output.attention.shape[0] != bag.n:
         raise ValueError(f"attention length {output.attention.shape[0]} does not "
                          f"match bag of {bag.n} instances")
-    weights = _minmax(output.attention)
-    return [((int(cx), int(cy)), float(w))
-            for (cx, cy), w in zip(bag.coords, weights)]
+    return _minmax(output.attention)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, value
 from .bags import open_atomic, read_text
 from .models import ModelConfig, param_shapes
 
@@ -59,29 +59,34 @@ def format_score(value: float, offsets: tuple[float, float] | None = None,
 # ---- parameter archives -----------------------------------------------------------
 
 
-def save_params(params: dict[str, Tensor], config: ModelConfig, path) -> None:
-    """Write parameters and their model config to an .npz archive."""
-    arrays = {name: p.data for name, p in params.items()}
+def save_params(params: dict[str, Tensor | np.ndarray], config: ModelConfig,
+                path) -> None:
+    """Write parameters (Tensors or arrays) and their model config to an .npz."""
+    arrays = {name: value(p) for name, p in params.items()}
     arrays["__model_config__"] = np.array(json.dumps(asdict(config)))
     with open_atomic(path) as fh:    # np.savez would add .npz to a path
         np.savez(fh, **arrays)
 
 
-def load_params(path) -> tuple[dict[str, Tensor], ModelConfig]:
-    """Read an archive written by save_params.
+def load_params(path) -> tuple[dict[str, np.ndarray], ModelConfig]:
+    """Read an archive written by save_params as name -> float64 array.
 
-    An unreadable archive, a bad model config, or parameters whose names or
-    shapes differ from what init_model builds for that config raise one
-    ValueError naming the archive.
+    A missing file raises FileNotFoundError.  Any other failure to read the
+    archive, a bad model config, or parameters whose names or shapes differ
+    from what init_model builds for that config raise one ValueError naming
+    the archive.
     """
     try:
         with np.load(path) as archive:
             if "__model_config__" not in archive:
                 raise ValueError("missing model config")
             config = ModelConfig(**json.loads(str(archive["__model_config__"])))
-            arrays = {name: archive[name]
+            arrays = {name: np.asarray(archive[name], dtype=np.float64)
                       for name in archive.files if name != "__model_config__"}
-    except (zipfile.BadZipFile, EOFError, TypeError, ValueError) as exc:
+    except FileNotFoundError:
+        raise
+    except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, TypeError,
+            ValueError) as exc:
         raise ValueError(f"{path} is not a valid parameter archive ({exc})") from exc
     expected = param_shapes(config)
     problems = [f"missing {name}" for name in expected if name not in arrays]
@@ -92,7 +97,7 @@ def load_params(path) -> tuple[dict[str, Tensor], ModelConfig]:
     if problems:
         raise ValueError(f"{path} does not match its {config.head_kind} model "
                          f"config: {'; '.join(problems)}")
-    return {name: Tensor(a, name=name) for name, a in arrays.items()}, config
+    return arrays, config
 
 
 # ---- run reports ------------------------------------------------------------------
@@ -202,9 +207,10 @@ def read_report(path) -> RunReport:
     """Parse a report written by write_report.
 
     One pass reads the file into ``{section: lines}``, where section "" is
-    the header, and the report is built from that.  A missing key, and a
-    repeated section, key or seed, raise a ValueError naming the report and
-    the section.
+    the header, and the report is built from that.  A missing key, a
+    repeated section, key or seed, and a section other than [config],
+    [data], [mean], [seed N], [level <name>] and the [history N] of a
+    [seed N] raise a ValueError naming the report and the section.
     """
     sections: dict[str, list[str]] = {"": []}
     body = sections[""]
@@ -255,6 +261,10 @@ def read_report(path) -> RunReport:
                    for line in sections.get(f"history {seed}", [])]
         seeds.append(SeedResult(seed=seed, history=history,
                                 **section(name, _SEED_LINES)))
+    known = {"", "config", "data", "mean"} | {f"history {s.seed}" for s in seeds}
+    for name in sections:
+        if name not in known and not name.startswith(("seed ", "level ")):
+            raise ValueError(f"{path}: unknown section [{name}]")
     return RunReport(config=values.get("config", {}), seeds=seeds,
                      created=header.get("created", ""),
                      **section("data", _DATA_LINES), **section("mean", _MEAN_LINES))
@@ -263,19 +273,17 @@ def read_report(path) -> RunReport:
 # ---- heatmaps ---------------------------------------------------------------------
 
 
-def heatmap_grid(pairs: list[tuple[tuple[int, int], float]]) -> np.ndarray:
-    """Rasterize (coord, weight) pairs onto a uint8 grid.
+def heatmap_grid(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rasterize each patch's weight at its (x, y) coordinate onto a uint8 grid.
 
     Weights must already be in [0, 1]; cells without tissue stay 0.
     Coordinates must be unique per bag.
     """
-    if not pairs:
-        raise ValueError("no attention pairs to rasterize")
-    coords = np.array([c for c, _ in pairs], dtype=np.int64)
-    weights = np.array([w for _, w in pairs], dtype=np.float64)
+    if not len(weights):
+        raise ValueError("no attention weights to rasterize")
     if (weights < 0).any() or (weights > 1).any():
         raise ValueError("attention weights must lie in [0, 1]")
-    if len({tuple(c) for c in coords}) != len(coords):
+    if len(np.unique(coords, axis=0)) != len(coords):
         raise ValueError("duplicate patch coordinates in bag")
     origin = coords.min(axis=0)
     extent = coords.max(axis=0) - origin + 1
@@ -295,10 +303,10 @@ def write_pgm(grid: np.ndarray, path) -> None:
         fh.write(header + grid.tobytes())
 
 
-def write_attention_table(pairs: list[tuple[tuple[int, int], float]], path) -> None:
-    """Text table of coord and weight, heaviest patch first."""
-    ordered = sorted(pairs, key=lambda p: (-p[1], p[0]))
+def write_attention_table(coords: np.ndarray, weights: np.ndarray, path) -> None:
+    """Text table of coords and weight, heaviest patch first, ties by coords."""
+    order = np.lexsort((coords[:, 1], coords[:, 0], -weights))
     lines = ["# x\ty\tweight"]
-    lines += [f"{c[0]}\t{c[1]}\t{w:.6f}" for c, w in ordered]
+    lines += [f"{coords[i, 0]}\t{coords[i, 1]}\t{weights[i]:.6f}" for i in order]
     with open_atomic(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode())

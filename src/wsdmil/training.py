@@ -11,12 +11,13 @@ training trajectories to the last bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, add, cross_entropy, scale, squared_error
+from .autodiff import Tensor, add, cross_entropy, scale, squared_error, value
 from .bags import Bag, ManifestEntry, read_bag
 from .gleason import ConsensusRecord, WeightTriple, consensus_record, wsd_weight
 from .metrics import balanced_accuracy, confusion, weighted_f1
@@ -37,8 +38,6 @@ __all__ = [
     "TrainResult",
     "ADAM_CHUNK",
     "AdamState",
-    "GridRow",
-    "GridSearchResult",
     "loss_baseline",
     "loss_multitask",
     "loss_weighted",
@@ -286,8 +285,7 @@ def adam_step(state: AdamState, params: dict[str, Tensor], lr: float) -> None:
 # ---- training loop ----------------------------------------------------------------
 
 
-@dataclass
-class EpochStats:
+class EpochStats(NamedTuple):
     epoch: int
     train_loss: float
     val_balanced_accuracy: float
@@ -301,18 +299,18 @@ class TrainResult:
     best_val_confusion: np.ndarray
 
 
-def predict_classes(params: dict[str, Tensor], model_config: ModelConfig,
-                    samples: list[Sample]) -> np.ndarray:
+def predict_classes(params: dict[str, Tensor | np.ndarray],
+                    model_config: ModelConfig, samples: list[Sample]) -> np.ndarray:
     """Argmax class per sample.
 
-    The forward passes run on the parameters' plain arrays (no copy), so
+    The forward passes run on plain arrays (a Tensor's own, no copy), so
     they build no graph and leave every parameter's ``.grad`` as it was.
     Resident samples with the same instance count run in stacks of at most
     ``RESIDENT_BAG_BYTES`` of float32 features, and a stack gives each bag
     the logits of its own forward to the bit.  A streamed sample's bag is
     read and run alone, for its forward pass only, before the next is read.
     """
-    arrays = {k: p.data for k, p in params.items()}
+    arrays = {k: value(p) for k, p in params.items()}
     classes = np.empty(len(samples), dtype=np.int64)
     # sample indices by instance count; a streamed bag has a key of its own
     stacks: dict[int, list[int]] = {}
@@ -394,34 +392,19 @@ def train(model_config: ModelConfig, config: TrainConfig,
 # ---- grid search ------------------------------------------------------------------
 
 
-@dataclass
-class GridRow:
-    per_seed: list[tuple[float, float]] = field(default_factory=list)
-    mean_balanced_accuracy: float = 0.0
-    mean_weighted_f1: float = 0.0
-
-
-@dataclass
-class GridSearchResult:
-    rows: list[GridRow]
-    best_index: int
-
-    @property
-    def best(self) -> GridRow:
-        return self.rows[self.best_index]
-
-
 def grid_search(model_config: ModelConfig, configs: list[TrainConfig],
                 train_samples: list[Sample], val_samples: list[Sample],
-                seeds: tuple[int, ...] = DEFAULT_SEEDS) -> GridSearchResult:
-    """Train every config per seed, score on validation, pick the best row.
+                seeds: tuple[int, ...] = DEFAULT_SEEDS
+                ) -> tuple[list[tuple[float, float]], int]:
+    """Train every config per seed and score it on validation.
 
-    The winner maximizes seed-mean validation balanced accuracy; ties go to
-    the earlier grid point.
+    Returns each config's seed-mean validation (balanced accuracy, weighted
+    F1), and the index of the config with the highest balanced accuracy;
+    ties go to the earlier grid point.
     """
     if not configs:
         raise ValueError("grid is empty")
-    rows = []
+    means = []
     for tc in configs:
         per_seed = []
         for seed in seeds:
@@ -435,9 +418,6 @@ def grid_search(model_config: ModelConfig, configs: list[TrainConfig],
                 raise NumericError(f"grid point {tc}: {exc}") from exc
             m = result.best_val_confusion  # train scored these params on val
             per_seed.append((balanced_accuracy(m), weighted_f1(m)))
-        rows.append(GridRow(
-            per_seed=per_seed,
-            mean_balanced_accuracy=float(np.mean([b for b, _ in per_seed])),
-            mean_weighted_f1=float(np.mean([f for _, f in per_seed]))))
-    best_index = int(np.argmax([r.mean_balanced_accuracy for r in rows]))
-    return GridSearchResult(rows=rows, best_index=best_index)
+        means.append((float(np.mean([b for b, _ in per_seed])),
+                      float(np.mean([f for _, f in per_seed]))))
+    return means, int(np.argmax([b for b, _ in means]))

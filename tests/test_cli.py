@@ -533,6 +533,19 @@ def test_eval_params_archive_needs_manifest(baseline_run, dataset, monkeypatch,
     assert "seeds: 1" in out
 
 
+def test_eval_env_data_root_stands_in_for_data_on_an_archive_only(
+        baseline_run, tmp_path, monkeypatch, capsys):
+    other = tmp_path / "other"
+    assert main(["gen-synthetic", "--out", str(other)] + GEN_ARGS[:-1] + ["6"]) == 0
+    monkeypatch.setenv(DATA_ROOT_ENV, str(other))
+    capsys.readouterr()
+    assert main(["eval", str(baseline_run), "--bootstrap", "20"]) == 0
+    assert "report metrics reproduced for seeds 1,2" in capsys.readouterr().out
+    assert main(["eval", str(baseline_run.parent / "base_params_seed1.npz"),
+                 "--bootstrap", "20"]) == 0
+    assert "slides: 8 (test); seeds: 1" in capsys.readouterr().out
+
+
 def test_eval_split_selector(baseline_run, capsys):
     assert main(["eval", str(baseline_run), "--split", "val",
                  "--bootstrap", "50"]) == 0
@@ -836,3 +849,48 @@ def test_attn_map_missing_bag_is_data_error(baseline_run, tmp_path):
                  str(baseline_run.parent / "base_params_seed1.npz"),
                  "--bag", str(tmp_path / "missing.bag"),
                  "--out-prefix", str(tmp_path / "x")]) == 3
+
+
+# ---- pinned attention and grid bytes ----------------------------------------------
+
+
+# attn-map's table and heatmap for each head on one bag, and both methods' grid
+# tables, on one tiny cohort; these files must not move by a byte.
+PINNED_VIEW_GEN = ["--splits", "24,12,4", "--dim", "6", "--size-factor", "0.05",
+                   "--seed", "9"]
+PINNED_VIEW_FIT = ["--hidden-dim", "6", "--attention-dim", "3", "--epochs", "3",
+                   "--lr", "0.02"]
+PINNED_VIEW_FILES = {
+    "maxmil.txt": "d5c8ff65c217d5c2fbcf58de7518f0de73f126d1a3638895d00d17c60a2441ee",
+    "maxmil.pgm": "aa36d9bd243f5b47285f094920ee161a5f1ab6701f33e74f7b3808ab84693ed0",
+    "abmil.txt": "c1b8a08b62c949cb558450a88d4a039ad3938fecc57261c10cc386d99847a138",
+    "abmil.pgm": "35316d8b2dcbfaefe5f8ac6208fb5720137ee88d83762dcd21eb65825361af3e",
+    "gated_abmil.txt": "ccde3e2d0cc49664903fdc9c7d7eb286483fbdac8b1eb89bae77abb60c2432e5",
+    "gated_abmil.pgm": "c91ad3084232b3e5c52a0e35eb8290a8b75602a2e9366eddb64deeeb1eabd4ef",
+    "dsmil.txt": "84472697f8052da968cfe7547c00e4e45253e4e81a2563e6b1da22f83c2241b9",
+    "dsmil.pgm": "fbafcaf3dd386c6d17007d6a20d72d396d7ca8e47d37992722d84acf3669294a",
+    "multitask.grid": "be84d8687dee38b07457653db95dd15b7c7580be77d10d5321c769d547535e93",
+    "weighted.grid": "79399da2c63a7caf31b6f45282274e3da655ba01d36ea463683342ac4f485748",
+}
+
+
+def test_attn_map_and_grid_files_match_pinned_bytes(tmp_path):
+    data = tmp_path / "ds"
+    assert main(["gen-synthetic", "--out", str(data)] + PINNED_VIEW_GEN) == 0
+    bag = max(sorted((data / "bags").glob("*.bag")), key=lambda p: p.stat().st_size)
+    for head in cli.HEAD_KINDS:
+        assert main(["train", "--data", str(data), "--model", head,
+                     "--seeds", "1", "--bootstrap", "20",
+                     "--out", str(tmp_path / f"{head}.report")]
+                    + PINNED_VIEW_FIT) == 0
+        assert main(["attn-map", "--params", str(tmp_path / f"{head}_params_seed1.npz"),
+                     "--bag", str(bag), "--out-prefix", str(tmp_path / head)]) == 0
+    for method, points in (("multitask", ["--grid-ab", "(1,2);(1,0)"]),
+                           ("weighted", ["--grid-weights", "(1,1,1);(4,3,1)"])):
+        assert main(["grid", "--data", str(data), "--method", method, *points,
+                     "--seeds", "1,2", "--out", str(tmp_path / f"{method}.grid")]
+                    + PINNED_VIEW_FIT) == 0
+    names = [f"{head}{ext}" for head in cli.HEAD_KINDS for ext in (".txt", ".pgm")]
+    names += ["multitask.grid", "weighted.grid"]
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in names} == PINNED_VIEW_FILES

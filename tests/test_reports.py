@@ -1,6 +1,7 @@
 """Report serialization, parameter archives, and heatmap artifacts."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -44,8 +45,8 @@ def test_params_round_trip_preserves_bits(tmp_path):
     assert loaded_config == config
     assert set(loaded) == set(params)
     for name in params:
-        assert loaded[name].data.tobytes() == params[name].data.tobytes()
-        assert loaded[name].name == name
+        assert loaded[name].tobytes() == params[name].data.tobytes()
+        assert loaded[name].shape == params[name].data.shape
 
 
 def test_load_rejects_plain_npz(tmp_path):
@@ -53,6 +54,31 @@ def test_load_rejects_plain_npz(tmp_path):
     np.savez(path, w=np.zeros(3))
     with pytest.raises(ValueError, match="model config"):
         load_params(path)
+
+
+def test_every_bit_flip_in_archive_headers_loads_or_names_the_archive(tmp_path):
+    mc = ModelConfig("maxmil", 4, hidden_dim=4, attention_dim=4)
+    good = tmp_path / "good.npz"
+    save_params(init_model(mc), mc, good)
+    data = good.read_bytes()
+    assert data[-22:-18] == b"PK\x05\x06"  # an end record with no comment
+    # the first local header (30 bytes, name, extra), the first central
+    # directory header (46 bytes, name, extra, comment) and the end record
+    local_end = 30 + sum(struct.unpack("<HH", data[26:30]))
+    central = struct.unpack("<I", data[-6:-2])[0]
+    central_end = central + 46 + sum(struct.unpack("<HHH",
+                                                   data[central + 28:central + 34]))
+    bad = tmp_path / "bad.npz"
+    for i in [*range(local_end), *range(central, central_end),
+              *range(len(data) - 22, len(data))]:
+        for bit in range(8):
+            mutant = bytearray(data)
+            mutant[i] ^= 1 << bit
+            bad.write_bytes(mutant)
+            try:
+                load_params(bad)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{bad} "), (i, bit, exc)
 
 
 def test_manifest_fingerprint_tracks_bytes(tmp_path):
@@ -102,6 +128,14 @@ def test_report_with_legacy_p_value_line_still_reads(tmp_path):
     text = path.read_text().replace("[mean]\n", "[mean]\np_value: 0.021\n")
     assert "p_value: 0.021" in text
     path.write_text(text)
+    assert read_report(path) == report
+
+
+def test_report_with_level_section_still_reads(tmp_path):
+    report = sample_report()
+    path = tmp_path / "levels.report"
+    write_report(report, path)
+    path.write_text(path.read_text() + "\n[level heterogeneous]\nn: 16\n")
     assert read_report(path) == report
 
 
@@ -212,8 +246,11 @@ def test_report_malformed_line_names_report_and_section(tmp_path, old, new,
     ("[data]\n", "[data]\nmanifest: other.tsv\n", "[data] repeated key 'manifest'"),
     ("[config]\n", "[config]\nmethod: baseline\n", "[config] repeated key 'method'"),
     ("created: ", "created: x\ncreated: ", "header repeated key 'created'"),
+    ("[mean]\n", "[history 99]\n0 1.0 0.5\n\n[mean]\n",
+     "unknown section [history 99]"),
+    ("[seed 37]\n", "[sede 37]\n", "unknown section [sede 37]"),
 ], ids=["section", "seed-number", "mean-key", "seed-key", "data-key",
-        "config-key", "header-key"])
+        "config-key", "header-key", "history-without-seed", "misspelt-seed"])
 def test_report_repeated_section_or_key_is_an_error(tmp_path, old, new, message):
     path = tmp_path / "repeated.report"
     write_report(sample_report(), path)
@@ -244,8 +281,7 @@ def test_report_preserves_full_float_precision(tmp_path):
 
 
 def test_heatmap_grid_places_weights_by_coordinate():
-    pairs = [((2, 3), 1.0), ((4, 5), 0.5), ((2, 5), 0.0)]
-    grid = heatmap_grid(pairs)
+    grid = heatmap_grid(np.array([[2, 3], [4, 5], [2, 5]]), np.array([1.0, 0.5, 0.0]))
     assert grid.shape == (3, 3)
     assert grid.dtype == np.uint8
     assert grid[0, 0] == 255
@@ -255,18 +291,18 @@ def test_heatmap_grid_places_weights_by_coordinate():
 
 
 def test_heatmap_grid_single_patch():
-    grid = heatmap_grid([((7, 9), 1.0)])
+    grid = heatmap_grid(np.array([[7, 9]]), np.array([1.0]))
     assert grid.shape == (1, 1)
     assert grid[0, 0] == 255
 
 
 def test_heatmap_grid_validation():
     with pytest.raises(ValueError, match="no attention"):
-        heatmap_grid([])
+        heatmap_grid(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        heatmap_grid([((0, 0), 1.5)])
+        heatmap_grid(np.array([[0, 0]]), np.array([1.5]))
     with pytest.raises(ValueError, match="duplicate"):
-        heatmap_grid([((0, 0), 0.5), ((0, 0), 0.6)])
+        heatmap_grid(np.array([[0, 0], [0, 0]]), np.array([0.5, 0.6]))
 
 
 def test_pgm_layout(tmp_path):
@@ -280,9 +316,9 @@ def test_pgm_layout(tmp_path):
 
 
 def test_attention_table_sorted_heaviest_first(tmp_path):
-    pairs = [((1, 1), 0.2), ((0, 3), 0.7), ((5, 0), 0.2), ((2, 2), 0.1)]
+    coords = np.array([[1, 1], [0, 3], [5, 0], [2, 2]])
     path = tmp_path / "attn.tsv"
-    write_attention_table(pairs, path)
+    write_attention_table(coords, np.array([0.2, 0.7, 0.2, 0.1]), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "# x\ty\tweight"
     assert lines[1] == "0\t3\t0.700000"
@@ -310,7 +346,7 @@ def write_each(kind, path):
     elif kind == "pgm":
         write_pgm(np.arange(6, dtype=np.uint8).reshape(2, 3), path)
     else:
-        write_attention_table([((0, 0), 0.25), ((0, 1), 1.0)], path)
+        write_attention_table(np.array([[0, 0], [0, 1]]), np.array([0.25, 1.0]), path)
 
 
 @pytest.mark.parametrize("kind", ["params", "report", "pgm", "table"])

@@ -674,14 +674,10 @@ def test_training_step_and_prediction_leave_no_cyclic_garbage(dataset, head):
 def test_grid_search_scores_every_row(dataset):
     configs = [TrainConfig(epochs=2, seed=0),
                TrainConfig(method="weighted", weights=HEAVY, epochs=2, seed=0)]
-    res = grid_search(tiny_model(dataset["dim"]), configs,
-                      dataset["train"], dataset["val"], seeds=(1, 2))
-    assert len(res.rows) == 2
-    for row in res.rows:
-        assert len(row.per_seed) == 2
-    best = res.best
-    assert best.mean_balanced_accuracy == max(r.mean_balanced_accuracy
-                                              for r in res.rows)
+    means, best = grid_search(tiny_model(dataset["dim"]), configs,
+                              dataset["train"], dataset["val"], seeds=(1, 2))
+    assert len(means) == 2
+    assert means[best][0] == max(ba for ba, _ in means)
 
 
 def test_weighted_grid_applies_each_triple(dataset):
@@ -701,7 +697,8 @@ def test_weighted_grid_applies_each_triple(dataset):
 
     configs = [TrainConfig(method="weighted", weights=w, epochs=2)
                for w in (UNIT, HEAVY)]
-    res = grid_search(mc, configs, dataset["train"], dataset["val"], seeds=(1, 2))
+    means, _ = grid_search(mc, configs, dataset["train"], dataset["val"],
+                           seeds=(1, 2))
     y_val = np.array([s.label for s in dataset["val"]], dtype=np.int64)
     direct = []
     for seed in (1, 2):
@@ -709,7 +706,8 @@ def test_weighted_grid_applies_each_triple(dataset):
         params = fit("weighted", HEAVY, seed, mc_seed).params
         m = confusion(y_val, predict_classes(params, mc_seed, dataset["val"]))
         direct.append((balanced_accuracy(m), weighted_f1(m)))
-    assert res.rows[1].per_seed == direct
+    assert means[1] == (float(np.mean([b for b, _ in direct])),
+                        float(np.mean([f for _, f in direct])))
 
 
 def test_grid_search_predicts_validation_once_per_epoch(dataset, monkeypatch):
@@ -740,16 +738,16 @@ def test_best_val_confusion_is_the_best_epochs_scores(dataset):
 
 def test_grid_search_tie_prefers_earlier_row(dataset):
     same = TrainConfig(epochs=2, seed=0)
-    res = grid_search(tiny_model(dataset["dim"]), [same, same],
-                      dataset["train"], dataset["val"], seeds=(1,))
-    assert res.best_index == 0
+    _, best = grid_search(tiny_model(dataset["dim"]), [same, same],
+                          dataset["train"], dataset["val"], seeds=(1,))
+    assert best == 0
 
 
 def test_grid_search_adds_regression_head_for_multitask(dataset):
     configs = [TrainConfig(method="multitask", beta=1.0, epochs=2, seed=0)]
-    res = grid_search(tiny_model(dataset["dim"]), configs,
-                      dataset["train"], dataset["val"], seeds=(1,))
-    assert res.best_index == 0
+    _, best = grid_search(tiny_model(dataset["dim"]), configs,
+                          dataset["train"], dataset["val"], seeds=(1,))
+    assert best == 0
 
 
 def test_grid_search_rejects_empty_grid(dataset):
