@@ -23,32 +23,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "ShapeError",
-    "GradCheckError",
-    "GradCheckReport",
-    "value",
-    "add",
-    "mul",
-    "matmul",
-    "linear",
-    "scale",
-    "relu",
-    "tanh",
-    "sigmoid",
-    "transpose",
-    "softmax_rows",
-    "max_rows",
-    "mean_rows",
-    "concat_rows",
-    "take_rows",
-    "cross_entropy",
-    "squared_error",
-    "grad_check",
-]
-
-
 class ShapeError(ValueError):
     """Raised when a primitive receives incompatible operand shapes."""
 

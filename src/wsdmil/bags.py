@@ -31,24 +31,6 @@ from .gleason import (
     parse_score,
 )
 
-__all__ = [
-    "Bag",
-    "BagFormatError",
-    "ManifestEntry",
-    "SynthConfig",
-    "SynthResult",
-    "CALIBRATION_TARGETS",
-    "SPLITS",
-    "open_atomic",
-    "read_text",
-    "write_bag",
-    "read_bag",
-    "read_manifest",
-    "write_manifest",
-    "split_bags",
-    "generate_synthetic",
-]
-
 _MAGIC = b"WSDB"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIII")
@@ -393,8 +375,9 @@ def _secondary_tokens(worst: int) -> list[int]:
 def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
     """Write a synthetic cohort (bags/ directory + manifest.tsv) under out_dir.
 
-    Deterministic: the same config produces byte-identical files.  Emits a
-    warning when the achieved consensus mix strays more than 3 points from
+    Deterministic: the same config produces byte-identical files; a bag's
+    features fill in row blocks, never holding its float64 noise whole.  Emits
+    a warning when the achieved consensus mix strays more than 3 points from
     the calibration targets, which small cohorts do from sampling alone.
     """
     out_dir = Path(out_dir)
@@ -449,18 +432,25 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
         lower_proto = 4 if cls == 0 else (0 if expert_secondary == 0
                                           else expert_secondary - 2)
         n_lower = 0 if cls == 0 else int(round(LOWER_FRACTION * (n - n_evidence)))
+        # row i is centred on rows[assign[i]]; row 5 is the evidence direction
+        rows = np.vstack([protos, _evidence_direction(protos, cls, lean, delta)])
         assign = np.full(n, 4, dtype=np.intp)
+        assign[:n_evidence] = 5
         assign[n_evidence:n_evidence + n_lower] = lower_proto
-        base = protos[assign]
-        base[:n_evidence] = _evidence_direction(protos, cls, lean, delta)
-        features = base + config.noise_sigma * rng.standard_normal(
-            (n, config.feature_dim))
+        features = np.empty((n, config.feature_dim), dtype=np.float32)
+        # blocks of <= 64 Ki float64 values draw the noise as one (n, d) draw would
+        step = max(1, 65536 // config.feature_dim)
+        for lo in range(0, n, step):
+            block = rng.standard_normal((min(step, n - lo), config.feature_dim))
+            block *= config.noise_sigma
+            block += rows[assign[lo:lo + step]]
+            features[lo:lo + step] = block
 
         side = int(np.ceil(np.sqrt(n))) + 1
         cells = rng.choice(side * side, size=n, replace=False)
         coords = np.stack([cells // side, cells % side], axis=1).astype(np.int32)
 
-        bag = Bag(slide_id, features.astype(np.float32), coords)
+        bag = Bag(slide_id, features, coords)
         write_bag(bag, bag_dir / f"{slide_id}.bag")
         entries.append(ManifestEntry(slide_id, resolved_dir / f"{slide_id}.bag",
                                      expert, nonexpert, split_of[i]))

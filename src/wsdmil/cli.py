@@ -169,6 +169,8 @@ def _load_samples(manifest_path: Path, *splits: str):
 
 def cmd_gen_synthetic(args) -> int:
     _check_at_least(args, seed=0)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise UsageError(f"--out {args.out!r} must name a directory, not a file")
     if args.slides is not None and args.splits is not None:
         raise UsageError("give --slides or --splits, not both")
     if args.slides is not None:
@@ -394,7 +396,7 @@ def cmd_grid(args) -> int:
 
 def _load_system(target: Path, manifest_path: Path | None):
     """Per-seed (archive path, (params, config)) of a params archive or a
-    run report.
+    run report, whose config and history _check_report checks against them.
 
     Returns (manifest_path, models, stored_report).  A report is evaluated on
     its recorded manifest unless one is given, whose fingerprint must match.
@@ -410,7 +412,42 @@ def _load_system(target: Path, manifest_path: Path | None):
         raise ValueError(f"manifest {manifest_path} fingerprint {fingerprint[:12]} "
                          f"does not match report {report.fingerprint[:12]}")
     paths = [target.parent / s.params_path for s in report.seeds]
-    return manifest_path, [(p, load_params(p)) for p in paths], report
+    models = [(p, load_params(p)) for p in paths]
+    _check_report(target, report, models)
+    return manifest_path, models, report
+
+
+def _check_report(path: Path, report, models) -> None:
+    """Reject a report whose [config] or history disagrees with its archives:
+    head, dims, method (multitask exactly with a regression head), seeds (the
+    [seed N] sections in order, each its archive's init seed), epochs (each
+    [history N] holds 0..epochs-1) and best_epoch (the first best validation
+    epoch).  A missing key or a disagreement is a ValueError naming the key."""
+    config = dict.fromkeys(("model", "hidden_dim", "attention_dim", "input_dim",
+                            "method", "seeds", "epochs")) | report.config
+    for s, (archive, (_, mc)) in zip(report.seeds, models):
+        method = config["method"]
+        if (method == "multitask") != mc.with_regression_head:
+            method = "multitask" if mc.with_regression_head else "not multitask"
+        scores = [v for _, _, v in s.history]
+        dims = [("config", key, config[key], str(getattr(mc, key)))
+                for key in ("hidden_dim", "attention_dim", "input_dim")]
+        for section, key, stored, actual in dims + [
+                ("config", "model", config["model"], mc.head_kind),
+                ("config", "method", config["method"], method),
+                ("config", "seeds", config["seeds"],
+                 ",".join(str(t.seed) for t in report.seeds)),
+                (f"seed {s.seed}", "seed", s.seed, mc.init_seed),
+                (f"history {s.seed}", "epochs", [e for e, _, _ in s.history],
+                 list(range(len(scores)))),
+                ("config", "epochs", config["epochs"], str(len(scores))),
+                (f"seed {s.seed}", "best_epoch", s.best_epoch,
+                 scores.index(max(scores)) if scores else None)]:
+            if stored is None:
+                raise ValueError(f"{path}: [{section}] has no {key!r}")
+            if stored != actual:
+                raise ValueError(f"{path}: [{section}] {key} {stored!r} should be "
+                                 f"{actual!r} for {archive}")
 
 
 def cmd_eval(args) -> int:

@@ -15,21 +15,6 @@ import math
 import re
 from dataclasses import dataclass
 
-__all__ = [
-    "GleasonScore",
-    "ConsensusLevel",
-    "ConsensusRecord",
-    "WeightTriple",
-    "BENIGN_TOKEN",
-    "parse_score",
-    "worst_grade",
-    "class_of",
-    "consensus_level",
-    "consensus_record",
-    "wsd_score",
-    "wsd_weight",
-]
-
 BENIGN_TOKEN = 0
 
 _SCORE_RE = re.compile(r"^\s*([1-5])\s*\+\s*([1-5])\s*$")

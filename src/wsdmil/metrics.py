@@ -29,16 +29,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "BootstrapResult",
-    "confusion",
-    "balanced_accuracy",
-    "weighted_f1",
-    "per_class_accuracy",
-    "paired_permutation_test",
-    "bootstrap_ci",
-]
-
 N_CLASSES = 4
 
 PERMUTATION_STATISTICS = ("balanced_accuracy_diff", "accuracy_diff")

@@ -25,20 +25,6 @@ from .autodiff import (Tensor, add, concat_rows, linear, matmul, max_rows,
                        take_rows, tanh, transpose, value)
 from .bags import Bag
 
-__all__ = [
-    "HEAD_KINDS",
-    "N_CLASSES",
-    "ModelConfig",
-    "BagOutput",
-    "param_shapes",
-    "init_model",
-    "forward_bag",
-    "forward_maxmil",
-    "forward_abmil",
-    "forward_dsmil",
-    "extract_attention",
-]
-
 HEAD_KINDS = ("maxmil", "abmil", "gated_abmil", "dsmil")
 
 N_CLASSES = 4

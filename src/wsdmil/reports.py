@@ -22,21 +22,6 @@ from .autodiff import Tensor, value
 from .bags import open_atomic, read_text
 from .models import ModelConfig, param_shapes
 
-__all__ = [
-    "REPORT_SCHEMA",
-    "SeedResult",
-    "RunReport",
-    "format_score",
-    "save_params",
-    "load_params",
-    "manifest_fingerprint",
-    "write_report",
-    "read_report",
-    "heatmap_grid",
-    "write_pgm",
-    "write_attention_table",
-]
-
 REPORT_SCHEMA = "wsdmil-report/1"
 
 

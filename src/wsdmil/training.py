@@ -23,33 +23,6 @@ from .gleason import ConsensusRecord, WeightTriple, consensus_record, wsd_weight
 from .metrics import balanced_accuracy, confusion, weighted_f1
 from .models import BagOutput, ModelConfig, forward_bag, init_model
 
-__all__ = [
-    "METHODS",
-    "DEFAULT_SEEDS",
-    "DEFAULT_ALPHA_BETA_GRID",
-    "DEFAULT_WEIGHT_GRID",
-    "NumericError",
-    "TrainConfig",
-    "RESIDENT_BYTES",
-    "RESIDENT_BAG_BYTES",
-    "BagOnDisk",
-    "Sample",
-    "EpochStats",
-    "TrainResult",
-    "ADAM_CHUNK",
-    "AdamState",
-    "loss_baseline",
-    "loss_multitask",
-    "loss_weighted",
-    "bag_loss",
-    "init_adam",
-    "adam_step",
-    "samples_from_entries",
-    "predict_classes",
-    "train",
-    "grid_search",
-]
-
 METHODS = ("baseline", "multitask", "weighted")
 
 DEFAULT_SEEDS = (13, 37)

@@ -1,6 +1,7 @@
 """Bag binary format, manifest parsing, and the synthetic generator."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,21 @@ def test_generator_is_deterministic(tmp_path):
     for entry in res_a.entries:
         other = tmp_path / "b" / "bags" / entry.bag_path.name
         assert entry.bag_path.read_bytes() == other.read_bytes()
+
+
+def test_generator_holds_about_one_bag_of_features_at_a_time(tmp_path):
+    # row blocks keep each bag's float64 noise from being held whole
+    cfg = SynthConfig(n_train=3, n_val=1, n_test=1, feature_dim=1024,
+                      size_factor=1.0, seed=0)
+    tracemalloc.start()
+    try:
+        res = generate_synthetic(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    largest = max(read_bag(e.bag_path).features.nbytes for e in res.entries)
+    assert largest > 4 * 2**20
+    assert peak <= 3 * largest
 
 
 def test_generator_seed_changes_output(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -156,6 +157,18 @@ def test_gen_synthetic_rejects_slides_with_splits(tmp_path, capsys):
                  "--splits", "2,2,2"]) == 2
     assert "--slides or --splits" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_synthetic_out_naming_a_file_is_usage_error_before_any_write(
+        tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept")
+    assert main(["gen-synthetic", "--out", str(afile), "--splits", "4,2,2",
+                 "--dim", "4"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out {str(afile)!r} must name a directory, not a file"]
+    assert afile.read_bytes() == b"kept"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 # ---- train ------------------------------------------------------------------------
@@ -608,6 +621,44 @@ def test_eval_edited_report_number_is_data_error(baseline_run, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"data error: [{section}] {key}: recomputed ")
     assert " differs from report " in err
+
+
+@pytest.fixture(scope="module")
+def multitask_run(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_mt") / "mt.report"
+    assert main(["train", "--data", str(dataset), "--model", "abmil",
+                 "--hidden-dim", "8", "--attention-dim", "4", "--method",
+                 "multitask", "--seeds", "1,2", "--epochs", "2",
+                 "--bootstrap", "20", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("pattern, replacement, where", [
+    (r"hidden_dim: 8\n", "hidden_dim: 64\n", "[config] hidden_dim"),
+    (r"model: abmil\n", "model: dsmil\n", "[config] model"),
+    (r"seeds: 1,2\n", "seeds: 7\n", "[config] seeds"),
+    (r"method: multitask\n", "method: baseline\n", "[config] method"),
+    (r"epochs: 2\n", "epochs: 9\n", "[config] epochs"),
+    (r"input_dim: 8\n", "", "[config] has no 'input_dim'"),
+    (r"(\[history 1\]\n.*\n).*\n", r"\1", "[config] epochs"),
+    (r"(\[history 1\]\n)(.*\n)", r"\1\2\2", "[history 1] epochs"),
+    (r"best_epoch: \d+", "best_epoch: 2", "[seed 1] best_epoch"),
+], ids=["hidden-dim", "model", "seeds", "method", "epochs", "no-input-dim",
+        "history-row-deleted", "history-row-repeated", "best-epoch-past-history"])
+def test_eval_report_disagreeing_with_its_archives_is_data_error(
+        multitask_run, tmp_path, capsys, pattern, replacement, where):
+    for seed in (1, 2):
+        archive = f"mt_params_seed{seed}.npz"
+        (tmp_path / archive).write_bytes((multitask_run.parent / archive).read_bytes())
+    report = tmp_path / "mt.report"
+    edited, count = re.subn(pattern, replacement, multitask_run.read_text(), count=1)
+    assert count == 1
+    report.write_text(edited)
+    capsys.readouterr()
+    assert main(["eval", str(report), "--bootstrap", "20"]) == 3
+    captured = capsys.readouterr()
+    assert "reproduced" not in captured.out
+    assert captured.err.startswith(f"data error: {report}: {where}")
 
 
 def test_eval_reproduces_report_at_other_bootstrap_settings(baseline_run, capsys):
