@@ -36,7 +36,7 @@ class GradCheckError(RuntimeError):
 
 
 class Tensor:
-    """A differentiable node holding a 2-D float64 value.
+    """A differentiable node: its 2-D float64 value, grad, parents and a leaf's name.
 
     Leaves are created directly from data, which is held without a copy.
     The ops below build the other nodes, whose parents are ``(parent, vjp)``
@@ -51,15 +51,13 @@ class Tensor:
     ``+``, ``*`` and ``@`` are the ops ``add``, ``mul`` and ``matmul``.
     """
 
-    __slots__ = ("data", "grad", "op", "name", "_parents")
+    __slots__ = ("data", "grad", "name", "_parents")
 
-    def __init__(self, data, op: str = "leaf", parents: tuple = (),
-                 name: str | None = None):
+    def __init__(self, data, parents: tuple = (), name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.ndim != 2:
             raise ShapeError("tensor", self.data.shape)
         self.grad = None if parents else np.zeros_like(self.data)
-        self.op = op
         self.name = name
         self._parents = parents
 
@@ -68,8 +66,7 @@ class Tensor:
         return self.data.shape
 
     def __repr__(self) -> str:
-        label = self.name or self.op
-        return f"Tensor({label}, shape={self.data.shape})"
+        return f"Tensor({self.name}, shape={self.data.shape})"
 
     def backward(self) -> None:
         """Reverse-sweep from this node; requires a scalar (1x1) value.
@@ -103,10 +100,10 @@ def _topo_sort(node: Tensor, seen: set[int], order: list[Tensor]) -> None:
     order.append(node)
 
 
-def _node(op: str, y: np.ndarray, *pairs) -> Tensor:
+def _node(y: np.ndarray, *pairs) -> Tensor:
     """``y`` as a node whose parents are the Tensor operands among the
     ``(operand, vjp)`` pairs; a plain operand is a constant and gets no share."""
-    return Tensor(y, op, tuple(p for p in pairs if isinstance(p[0], Tensor)))
+    return Tensor(y, tuple(p for p in pairs if isinstance(p[0], Tensor)))
 
 
 def _scatter(shape: tuple[int, int], cells, values: np.ndarray) -> np.ndarray:
@@ -138,7 +135,7 @@ def value(x: Tensor | np.ndarray) -> np.ndarray:
 def add(a, b):
     """Elementwise sum of equal shapes."""
     if isinstance(a, Tensor) or isinstance(b, Tensor):
-        return _node("add", add(value(a), value(b)), (a, lambda g: g), (b, lambda g: g))
+        return _node(add(value(a), value(b)), (a, lambda g: g), (b, lambda g: g))
     if a.shape[-2:] != b.shape[-2:]:
         raise ShapeError("add", a.shape, b.shape)
     return a + b
@@ -148,7 +145,7 @@ def mul(a, b):
     """Elementwise product of equal shapes."""
     if isinstance(a, Tensor) or isinstance(b, Tensor):
         x, y = value(a), value(b)
-        return _node("mul", mul(x, y), (a, lambda g: g * y), (b, lambda g: g * x))
+        return _node(mul(x, y), (a, lambda g: g * y), (b, lambda g: g * x))
     if a.shape[-2:] != b.shape[-2:]:
         raise ShapeError("mul", a.shape, b.shape)
     return a * b
@@ -158,15 +155,14 @@ def scale(x, c: float):
     """x times the constant c."""
     c = float(c)
     if isinstance(x, Tensor):
-        return Tensor(scale(x.data, c), "scale", ((x, lambda g: g * c),))
+        return Tensor(scale(x.data, c), ((x, lambda g: g * c),))
     return x * c
 
 
 def matmul(a, b):
     if isinstance(a, Tensor) or isinstance(b, Tensor):
         x, y = value(a), value(b)
-        return _node("matmul", matmul(x, y),
-                     (a, lambda g: g @ y.T), (b, lambda g: x.T @ g))
+        return _node(matmul(x, y), (a, lambda g: g @ y.T), (b, lambda g: x.T @ g))
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul", a.shape, b.shape)
     return a @ b
@@ -176,7 +172,7 @@ def linear(x, w, b):
     """x @ w + b, with the (1, k) bias row added to every row; one node."""
     if isinstance(x, Tensor) or isinstance(w, Tensor) or isinstance(b, Tensor):
         xa, wa = value(x), value(w)
-        return _node("linear", linear(xa, wa, value(b)),
+        return _node(linear(xa, wa, value(b)),
                      (x, lambda g: g @ wa.T), (w, lambda g: xa.T @ g),
                      (b, lambda g: g.sum(axis=0, keepdims=True)))
     if x.shape[-1] != w.shape[0] or b.shape != (1, w.shape[1]):
@@ -189,35 +185,35 @@ def linear(x, w, b):
 def relu(x):
     if isinstance(x, Tensor):
         a = x.data
-        return Tensor(relu(a), "relu", ((x, lambda g: g * (a > 0.0)),))
+        return Tensor(relu(a), ((x, lambda g: g * (a > 0.0)),))
     return np.maximum(x, 0.0)
 
 
 def tanh(x):
     if isinstance(x, Tensor):
         y = tanh(x.data)
-        return Tensor(y, "tanh", ((x, lambda g: g * (1.0 - y * y)),))
+        return Tensor(y, ((x, lambda g: g * (1.0 - y * y)),))
     return np.tanh(x)
 
 
 def sigmoid(x):
     if isinstance(x, Tensor):
         s = sigmoid(x.data)
-        return Tensor(s, "sigmoid", ((x, lambda g: g * s * (1.0 - s)),))
+        return Tensor(s, ((x, lambda g: g * s * (1.0 - s)),))
     e = np.exp(-np.abs(x))          # split by sign to avoid overflow in exp
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def transpose(x):
     if isinstance(x, Tensor):
-        return Tensor(transpose(x.data), "transpose", ((x, lambda g: g.T),))
+        return Tensor(transpose(x.data), ((x, lambda g: g.T),))
     return np.swapaxes(x, -1, -2).copy()
 
 
 def softmax_rows(x):
     if isinstance(x, Tensor):
         s = softmax_rows(x.data)
-        return Tensor(s, "softmax_rows",
+        return Tensor(s,
                       ((x, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True))),))
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -233,13 +229,13 @@ def max_rows(x):
     if not isinstance(x, Tensor):
         return y
     cells = (rows[0], np.arange(a.shape[1]))
-    return Tensor(y, "max_rows", ((x, lambda g: _scatter(a.shape, cells, g[0])),))
+    return Tensor(y, ((x, lambda g: _scatter(a.shape, cells, g[0])),))
 
 
 def mean_rows(x):
     if isinstance(x, Tensor):
         a = x.data
-        return Tensor(mean_rows(a), "mean_rows",
+        return Tensor(mean_rows(a),
                       ((x, lambda g: np.broadcast_to(g / a.shape[0], a.shape)),))
     return x.mean(axis=-2, keepdims=True)
 
@@ -249,7 +245,7 @@ def concat_rows(operands: Sequence):
     if any(isinstance(t, Tensor) for t in operands):
         arrays = [value(t) for t in operands]
         bounds = np.cumsum([0] + [a.shape[0] for a in arrays])
-        return _node("concat_rows", concat_rows(arrays),
+        return _node(concat_rows(arrays),
                      *((t, lambda g, lo=lo, hi=hi: g[lo:hi])
                        for t, lo, hi in zip(operands, bounds[:-1], bounds[1:])))
     if len({a.shape[-1] for a in operands}) != 1:
@@ -263,8 +259,7 @@ def take_rows(x, indices: Sequence[int]):
     idx = np.asarray(indices, dtype=np.intp)
     if isinstance(x, Tensor):
         a = x.data
-        return Tensor(take_rows(a, idx), "take_rows",
-                      ((x, lambda g: _scatter(a.shape, idx, g)),))
+        return Tensor(take_rows(a, idx), ((x, lambda g: _scatter(a.shape, idx, g)),))
     if (idx.ndim != x.ndim - 1 or idx.size == 0 or idx.min() < 0
             or idx.max() >= x.shape[-2]):
         raise ShapeError("take_rows", x.shape, idx.shape)
@@ -286,8 +281,7 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     logz = m + np.log(np.exp(row - m).sum())
     p = np.exp(row - logz)
     p[label] -= 1.0
-    return Tensor(np.array([[logz - row[label]]]), "cross_entropy",
-                  ((logits, lambda g: g[0, 0] * p),))
+    return Tensor(np.array([[logz - row[label]]]), ((logits, lambda g: g[0, 0] * p),))
 
 
 def squared_error(pred: Tensor, target: float) -> Tensor:
@@ -295,8 +289,7 @@ def squared_error(pred: Tensor, target: float) -> Tensor:
     if pred.data.size != 1:
         raise ShapeError("squared_error", pred.shape)
     diff = pred.data[0, 0] - float(target)
-    return Tensor(np.array([[diff * diff]]), "squared_error",
-                  ((pred, lambda g: g * (2.0 * diff)),))
+    return Tensor(np.array([[diff * diff]]), ((pred, lambda g: g * (2.0 * diff)),))
 
 
 @dataclass

@@ -103,11 +103,13 @@ class Bag:
 @contextmanager
 def open_atomic(path):
     """Open ``path`` for binary writing so that it is replaced whole or not
-    at all: the bytes go to a temp file in the same directory, which is
-    renamed over ``path`` only when the block exits normally.  On an
-    exception the temp file is removed and ``path`` keeps its old content.
+    at all: the bytes go to a temp file in the same directory, made here if
+    missing, which is renamed over ``path`` only when the block exits
+    normally.  On an exception the temp file is removed and ``path`` keeps
+    its old content.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
     try:
         with open(tmp, "xb") as fh:
@@ -382,7 +384,6 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
     """
     out_dir = Path(out_dir)
     bag_dir = out_dir / "bags"
-    bag_dir.mkdir(parents=True, exist_ok=True)
     resolved_dir = bag_dir.resolve()
     rng = np.random.default_rng(config.seed)
     protos = _prototypes(rng, config.feature_dim)
@@ -450,8 +451,8 @@ def generate_synthetic(config: SynthConfig, out_dir) -> SynthResult:
         cells = rng.choice(side * side, size=n, replace=False)
         coords = np.stack([cells // side, cells % side], axis=1).astype(np.int32)
 
-        bag = Bag(slide_id, features, coords)
-        write_bag(bag, bag_dir / f"{slide_id}.bag")
+        write_bag(Bag(slide_id, features, coords), bag_dir / f"{slide_id}.bag")
+        del features, block       # so the next bag's np.empty finds them freed
         entries.append(ManifestEntry(slide_id, resolved_dir / f"{slide_id}.bag",
                                      expert, nonexpert, split_of[i]))
 

@@ -109,13 +109,6 @@ def _check_file_path(flag: str, path: str) -> None:
         raise UsageError(f"{flag} {path!r} must name a file, not a directory")
 
 
-def _make_parent(path) -> Path:
-    """``path`` as a Path, once its parent directory exists."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _check_input_dim(archive, mc: ModelConfig, bag, where: str) -> None:
     """Reject a model whose input dim is not the feature dim of ``where``."""
     if mc.input_dim != bag.d:
@@ -203,19 +196,18 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_consensus_stats(args) -> int:
     entries = read_manifest(args.manifest)
-    missing = [e.slide_id for e in entries if e.nonexpert is None]
-    if missing:
-        raise ValueError(f"entries without non-expert score: "
-                         f"{', '.join(missing[:10])}")
-    if not entries:
-        raise ValueError("manifest has no entries")
+    scored = [e for e in entries if e.nonexpert is not None]
+    if not scored:
+        raise ValueError(f"{args.manifest}: no slide has both scores")
     levels = list(ConsensusLevel)
     by_class = np.zeros((4, len(levels)), dtype=np.int64)
-    for e in entries:
+    for e in scored:
         by_class[class_of(e.expert),
                  levels.index(consensus_level(e.expert, e.nonexpert))] += 1
-    total = len(entries)
-    print(f"slides: {total}")
+    total = len(scored)
+    print(f"slides: {len(entries)}")
+    if total < len(entries):
+        print(f"slides without a non-expert score, not counted: {len(entries) - total}")
     print("overall consensus mix:")
     for level, count in zip(levels, by_class.sum(axis=0)):
         print(f"  {level.value:<14} {count * 100 / total:5.1f}%")
@@ -288,7 +280,7 @@ def cmd_train(args) -> int:
     seeds, model_config, manifest_path, samples = _setup(args, "train", "val",
                                                          "test")
 
-    out_path = _make_parent(args.out)
+    out_path = Path(args.out)
     configs = [replace(model_config, init_seed=seed) for seed in seeds]
     results = [train(mc, replace(train_config, seed=mc.init_seed),
                      samples["train"], samples["val"]) for mc in configs]
@@ -365,8 +357,6 @@ def cmd_grid(args) -> int:
     labels = [f"({','.join(f'{x:g}' for x in point)})" for point in points]
 
     seeds, model_config, _, samples = _setup(args, "train", "val")
-    if args.out:
-        _make_parent(args.out)
     means, best = grid_search(model_config, configs, samples["train"],
                               samples["val"], seeds)
 
@@ -533,7 +523,7 @@ def cmd_attn_map(args) -> int:
     weights = extract_attention(output, bag)
     grid = heatmap_grid(bag.coords, weights)
     # not Path.with_suffix, which would cut the ".s00001" off "abmil.s00001"
-    table_path = _make_parent(f"{args.out_prefix}.txt")
+    table_path = Path(f"{args.out_prefix}.txt")
     image_path = Path(f"{args.out_prefix}.pgm")
     write_attention_table(bag.coords, weights, table_path)
     write_pgm(grid, image_path)

@@ -107,14 +107,13 @@ def init_model(config: ModelConfig) -> dict[str, Tensor]:
     return params
 
 
-def _features(params: dict, first_layer: str, features: np.ndarray) -> np.ndarray:
-    """An (n, d) bag or (k, n, d) stack as the forward's float64 input: float32
-    widens here, which is exact, and a float64 array is returned uncopied."""
-    weight = params[first_layer]
-    if features.shape[-1] != weight.shape[0]:
-        raise ValueError(f"bag feature dim {features.shape[-1]} does not match "
-                         f"model input dim {weight.shape[0]}")
-    return np.asarray(features, dtype=np.float64)
+def _features(config: ModelConfig, x: np.ndarray) -> np.ndarray:
+    """Check an (n, d) bag or (k, n, d) stack's d against ``config.input_dim``
+    and return it as float64: float32 widens exactly, float64 comes uncopied."""
+    if x.shape[-1] != config.input_dim:
+        raise ValueError(f"bag feature dim {x.shape[-1]} does not match "
+                         f"model input dim {config.input_dim}")
+    return np.asarray(x, dtype=np.float64)
 
 
 def _linear(params: dict, layer: str, x):
@@ -140,14 +139,13 @@ def _minmax(values: np.ndarray) -> np.ndarray:
 
 
 # Each head takes a name -> parameter dict of Tensors (training) or of plain
-# arrays (inference), and runs the same ops on either.  On plain arrays it
-# also takes a (k, n, d) stack of k equal-size bags and gives each bag the
-# bits of its own forward.
+# arrays (inference) and a float64 (n, d) bag x, and runs the same ops on
+# either.  On plain arrays x may also be a (k, n, d) stack of k equal-size
+# bags, and each bag gets the bits of its own forward.
 
 
-def forward_maxmil(params: dict, features: np.ndarray) -> BagOutput:
+def forward_maxmil(params: dict, x: np.ndarray) -> BagOutput:
     """Instance-level MLP with per-class max pooling of instance logits."""
-    x = _features(params, "embed.w", features)
     hidden = relu(_linear(params, "embed", x))                   # (n, H)
     inst_logits = _linear(params, "cls", hidden)                  # (n, 4)
     logits = max_rows(inst_logits)                                # (1, 4)
@@ -158,10 +156,8 @@ def forward_maxmil(params: dict, features: np.ndarray) -> BagOutput:
                      wsd_prediction=_regress(params, pooled))
 
 
-def forward_abmil(params: dict, features: np.ndarray,
-                  gated: bool = False) -> BagOutput:
+def forward_abmil(params: dict, x: np.ndarray, gated: bool = False) -> BagOutput:
     """Attention pooling over embedded instances, optionally gated."""
-    x = _features(params, "embed.w", features)
     hidden = relu(_linear(params, "embed", x))                   # (n, H)
     branch = tanh(matmul(hidden, params["attn_v.w"]))             # (n, L)
     if gated:
@@ -175,7 +171,7 @@ def forward_abmil(params: dict, features: np.ndarray,
                      wsd_prediction=_regress(params, z))
 
 
-def forward_dsmil(params: dict, features: np.ndarray) -> BagOutput:
+def forward_dsmil(params: dict, x: np.ndarray) -> BagOutput:
     """Dual-stream head.
 
     Stream 1 scores instances with a linear classifier and max-pools.
@@ -183,7 +179,6 @@ def forward_dsmil(params: dict, features: np.ndarray) -> BagOutput:
     all instances against its query, and classifies the attention-pooled
     value vectors per class.  Final logits average the two streams.
     """
-    x = _features(params, "inst.w", features)
     inst_logits = _linear(params, "inst", x)                      # (n, 4)
     queries = _linear(params, "query", x)                         # (n, L)
     values = _linear(params, "value", x)                          # (n, H)
@@ -220,11 +215,11 @@ _HEADS = {
 
 
 def forward_bag(params: dict, config: ModelConfig, bag: Bag | list[Bag]) -> BagOutput:
-    """Dispatch a bag, or a list of equal-size bags as one float64 (k, n, d)
-    stack (plain-array parameters only), through the configured head."""
+    """Run a bag, or a list of equal-size bags stacked to one float64 (k, n, d)
+    array (plain-array parameters only), through ``_features`` and the head."""
     x = (bag.features if isinstance(bag, Bag)
          else np.stack([b.features for b in bag], dtype=np.float64))
-    return _HEADS[config.head_kind](params, x)
+    return _HEADS[config.head_kind](params, _features(config, x))
 
 
 def extract_attention(output: BagOutput, bag: Bag) -> np.ndarray:

@@ -195,7 +195,8 @@ def read_report(path) -> RunReport:
     the header, and the report is built from that.  A missing key, a
     repeated section, key or seed, and a section other than [config],
     [data], [mean], [seed N], [level <name>] and the [history N] of a
-    [seed N] raise a ValueError naming the report and the section.
+    [seed N] raise a ValueError naming the report and the section; so does
+    a report without a [seed N].
     """
     sections: dict[str, list[str]] = {"": []}
     body = sections[""]
@@ -246,6 +247,8 @@ def read_report(path) -> RunReport:
                    for line in sections.get(f"history {seed}", [])]
         seeds.append(SeedResult(seed=seed, history=history,
                                 **section(name, _SEED_LINES)))
+    if not seeds:
+        raise ValueError(f"{path}: no [seed N] section")
     known = {"", "config", "data", "mean"} | {f"history {s.seed}" for s in seeds}
     for name in sections:
         if name not in known and not name.startswith(("seed ", "level ")):

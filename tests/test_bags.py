@@ -421,7 +421,8 @@ def test_generator_is_deterministic(tmp_path):
 
 
 def test_generator_holds_about_one_bag_of_features_at_a_time(tmp_path):
-    # row blocks keep each bag's float64 noise from being held whole
+    # row blocks keep each bag's float64 noise from being held whole, and a
+    # bag's features are freed before the next bag's are allocated
     cfg = SynthConfig(n_train=3, n_val=1, n_test=1, feature_dim=1024,
                       size_factor=1.0, seed=0)
     tracemalloc.start()
@@ -432,7 +433,7 @@ def test_generator_holds_about_one_bag_of_features_at_a_time(tmp_path):
         tracemalloc.stop()
     largest = max(read_bag(e.bag_path).features.nbytes for e in res.entries)
     assert largest > 4 * 2**20
-    assert peak <= 3 * largest
+    assert peak <= 1.75 * largest
 
 
 def test_generator_seed_changes_output(tmp_path):

@@ -57,6 +57,33 @@ def test_gen_synthetic_writes_dataset(dataset, capsys):
     assert "no_consensus" in out
 
 
+@pytest.mark.filterwarnings("ignore:manifest .* contains no entries")
+def test_consensus_stats_counts_only_slides_with_both_scores(dataset, tmp_path,
+                                                             capsys):
+    lines = (dataset / "manifest.tsv").read_text().splitlines(keepends=True)
+    test_row = next(i for i, line in enumerate(lines) if line.endswith("\ttest\n"))
+    fields = lines[test_row].split("\t")
+    unscored = "\t".join(fields[:3] + ["-"] + fields[4:])
+    outputs = []
+    for name, rows in (("dash", lines[:test_row] + [unscored] + lines[test_row + 1:]),
+                       ("cut", lines[:test_row] + lines[test_row + 1:]),
+                       ("none", [lines[0], unscored]), ("empty", [lines[0]])):
+        manifest = tmp_path / f"{name}.tsv"
+        manifest.write_text("".join(rows))
+        capsys.readouterr()
+        code = main(["consensus-stats", "--manifest", str(manifest)])
+        outputs.append((code, capsys.readouterr()))
+    (dash, out), (cut, cut_out), *unscorable = outputs
+    assert dash == cut == 0
+    assert out.out.splitlines()[:2] == [
+        "slides: 40", "slides without a non-expert score, not counted: 1"]
+    # the mix is the one of the manifest without that slide
+    assert out.out.splitlines()[2:] == cut_out.out.splitlines()[1:]
+    for (code, err), name in zip(unscorable, ("none", "empty")):
+        assert code == 3
+        assert err.err.startswith(f"data error: {tmp_path / name}.tsv: no slide ")
+
+
 def test_gen_synthetic_is_deterministic(tmp_path):
     for sub in ("a", "b"):
         assert main(["gen-synthetic", "--out", str(tmp_path / sub)] + GEN_ARGS) == 0
@@ -440,6 +467,15 @@ def test_train_runaway_lr_is_numeric_error(dataset, tmp_path):
         code = main(["train", "--data", str(dataset), "--lr", "1e200",
                      "--out", str(tmp_path / "r.report")] + FAST_TRAIN)
     assert code == 4
+
+
+def test_failed_train_creates_no_out_directory(dataset, tmp_path):
+    # a directory is made only when a file is written into it
+    with np.errstate(all="ignore"):
+        code = main(["train", "--data", str(dataset), "--lr", "1e200", "--out",
+                     str(tmp_path / "fail" / "sub" / "r.report")] + FAST_TRAIN)
+    assert code == 4
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---- grid -------------------------------------------------------------------------

@@ -262,20 +262,19 @@ def test_plain_array_forward_equals_tensor_forward_bitwise(head, n, dtype):
 
 
 def test_plain_array_forward_rejects_wrong_feature_dim():
-    params = {k: p.data for k, p in init_model(config("dsmil")).items()}
     with pytest.raises(ValueError, match="input dim"):
-        forward_dsmil(params, np.zeros((3, D + 2)))
+        forward_bag(numpy_params("dsmil"), config("dsmil"), random_bag(n=3, d=D + 2))
 
 
 @pytest.mark.parametrize("head", HEAD_KINDS)
 def test_bag_list_reaches_the_head_as_one_float64_stack(head, monkeypatch):
-    # forward_bag widens a list of float32 bags into one stack, so the head's
-    # _features sees one float64 (k, n, d) array and returns that object
+    # forward_bag widens a list of float32 bags into one stack, so its
+    # _features call sees one float64 (k, n, d) array and returns that object
     seen = []
     real = models._features
 
-    def tracked(params, first_layer, features):
-        x = real(params, first_layer, features)
+    def tracked(config, features):
+        x = real(config, features)
         seen.append((features, x))
         return x
 
@@ -295,11 +294,10 @@ def test_predicted_class_is_argmax():
 
 
 def test_forward_rejects_wrong_feature_dim():
-    params = init_model(config("abmil"))
     with pytest.raises(ValueError, match="input dim"):
-        forward_abmil(params, np.zeros((3, D + 1)))
+        forward_bag(init_model(config("abmil")), config("abmil"), random_bag(d=D + 1))
     with pytest.raises(ValueError, match="input dim"):
-        forward_dsmil(init_model(config("dsmil")), np.zeros((3, D + 2)))
+        forward_bag(init_model(config("dsmil")), config("dsmil"), random_bag(d=D + 2))
 
 
 def test_extract_attention_pairs_coords_with_unit_range_weights():

@@ -249,8 +249,12 @@ def test_report_malformed_line_names_report_and_section(tmp_path, old, new,
     ("[mean]\n", "[history 99]\n0 1.0 0.5\n\n[mean]\n",
      "unknown section [history 99]"),
     ("[seed 37]\n", "[sede 37]\n", "unknown section [sede 37]"),
+    (SAMPLE_REPORT_TEXT[SAMPLE_REPORT_TEXT.index("[seed 13]"):
+                        SAMPLE_REPORT_TEXT.index("[mean]")], "",
+     "no [seed N] section"),
 ], ids=["section", "seed-number", "mean-key", "seed-key", "data-key",
-        "config-key", "header-key", "history-without-seed", "misspelt-seed"])
+        "config-key", "header-key", "history-without-seed", "misspelt-seed",
+        "no-seed"])
 def test_report_repeated_section_or_key_is_an_error(tmp_path, old, new, message):
     path = tmp_path / "repeated.report"
     write_report(sample_report(), path)
