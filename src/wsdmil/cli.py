@@ -164,20 +164,10 @@ def cmd_gen_synthetic(args) -> int:
     _check_at_least(args, seed=0)
     if os.path.exists(args.out) and not os.path.isdir(args.out):
         raise UsageError(f"--out {args.out!r} must name a directory, not a file")
-    if args.slides is not None and args.splits is not None:
-        raise UsageError("give --slides or --splits, not both")
-    if args.slides is not None:
-        if args.slides < 1:
-            raise UsageError("--slides must be >= 1")
-        n_train = round(args.slides * 2 / 3)
-        n_val = round(args.slides / 6)
-        n_test = args.slides - n_train - n_val
-    else:
-        splits = "600,150,150" if args.splits is None else args.splits
-        try:
-            n_train, n_val, n_test = (int(t) for t in splits.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad --splits {splits!r}") from exc
+    try:
+        n_train, n_val, n_test = (int(t) for t in args.splits.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad --splits {args.splits!r}") from exc
     config = _config(SynthConfig, n_train=n_train, n_val=n_val, n_test=n_test,
                      feature_dim=args.dim, seed=args.seed,
                      size_factor=args.size_factor, noise_sigma=args.noise_sigma)
@@ -332,25 +322,21 @@ def cmd_grid(args) -> int:
     if args.out:
         _check_file_path("--out", args.out)
     if args.method == "multitask":
-        if args.grid_weights:
-            raise UsageError("--grid-weights only applies to --method weighted")
-        text, points = args.grid_ab, DEFAULT_ALPHA_BETA_GRID
+        points = DEFAULT_ALPHA_BETA_GRID
 
         def point_config(alpha, beta):
             return {"alpha": alpha, "beta": beta}
     else:  # the parser allows only multitask and weighted
-        if args.grid_ab:
-            raise UsageError("--grid-ab only applies to --method multitask")
-        text, points = args.grid_weights, DEFAULT_WEIGHT_GRID
+        points = DEFAULT_WEIGHT_GRID
 
         def point_config(*triple):
             return {"weights": _config(WeightTriple, *triple,
                                        allow_out_of_range=True)}
-    if text:
+    if args.points is not None:
         points = [_parse_point(chunk, len(points[0]))
-                  for chunk in text.split(";") if chunk.strip()]
+                  for chunk in args.points.split(";") if chunk.strip()]
         if not points:
-            raise UsageError(f"empty grid {text!r}")
+            raise UsageError(f"empty grid {args.points!r}")
     configs = [_config(TrainConfig, method=args.method, learning_rate=args.lr,
                        epochs=args.epochs, **point_config(*point))
                for point in points]
@@ -559,10 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", help="write a synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--slides", type=int, default=None,
-                   help="total slides, split 4:1:1 into train/val/test")
-    p.add_argument("--splits", default=None,
-                   help="explicit train,val,test counts (default 600,150,150)")
+    p.add_argument("--splits", default="600,150,150",
+                   help="train,val,test slide counts (default 600,150,150)")
     p.add_argument("--dim", type=int, default=32, help="feature dimension")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size-factor", type=float, default=0.1,
@@ -588,8 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", parents=[data, fit],
                        help="hyperparameter grid search on validation")
     p.add_argument("--method", choices=("multitask", "weighted"), required=True)
-    p.add_argument("--grid-ab", help='e.g. "(1,0);(1,1);(1,10)"')
-    p.add_argument("--grid-weights", help='e.g. "(1,1,1);(4,3,1)"')
+    p.add_argument("--points", help='";"-separated grid points: (alpha,beta) '
+                   'for multitask, e.g. "(1,0);(1,10)", or (NC,HEC,HOC) for '
+                   'weighted, e.g. "(1,1,1);(4,3,1)" (default: six built-in points)')
     p.add_argument("--out", help="write the table here as well")
     p.set_defaults(func=cmd_grid)
 

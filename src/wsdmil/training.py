@@ -279,9 +279,9 @@ def predict_classes(params: dict[str, Tensor | np.ndarray],
     The forward passes run on plain arrays (a Tensor's own, no copy), so
     they build no graph and leave every parameter's ``.grad`` as it was.
     Resident samples with the same instance count run in stacks of at most
-    ``RESIDENT_BAG_BYTES`` of float32 features, and a stack gives each bag
-    the logits of its own forward to the bit.  A streamed sample's bag is
-    read and run alone, for its forward pass only, before the next is read.
+    ``RESIDENT_BAG_BYTES`` of features, and a stack gives each bag the
+    logits of its own forward to the bit.  A streamed sample's bag is read
+    and run alone, for its forward pass only, before the next is read.
     """
     arrays = {k: value(p) for k, p in params.items()}
     classes = np.empty(len(samples), dtype=np.int64)
@@ -290,8 +290,9 @@ def predict_classes(params: dict[str, Tensor | np.ndarray],
     for i, s in enumerate(samples):
         stacks.setdefault(s.bag.n if isinstance(s.bag, Bag) else -1 - i, []).append(i)
     for members in stacks.values():
-        bag = samples[members[0]].bag
-        size = max(1, RESIDENT_BAG_BYTES // (4 * bag.n * bag.d))
+        bag = samples[members[0]].bag   # a streamed bag is a stack of one
+        size = (max(1, RESIDENT_BAG_BYTES // bag.features.nbytes)
+                if isinstance(bag, Bag) else 1)
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
             output = forward_bag(arrays, model_config,

@@ -9,10 +9,11 @@ import struct
 import numpy as np
 import pytest
 
-from wsdmil import cli
+from wsdmil import cli, training
 from wsdmil.bags import Bag, write_bag
 from wsdmil.cli import DATA_ROOT_ENV, main
 from wsdmil.reports import load_params, read_report
+from wsdmil.training import NumericError
 
 pytestmark = pytest.mark.filterwarnings("ignore:consensus mix off calibration")
 
@@ -158,32 +159,22 @@ def test_gen_synthetic_and_consensus_stats_match_pinned_output(tmp_path,
             for p in (tmp_path / "ds" / "bags").iterdir()} == PINNED_BAGS
 
 
-def test_gen_synthetic_slides_shorthand(tmp_path, capsys):
-    assert main(["gen-synthetic", "--out", str(tmp_path / "s"), "--slides", "30",
-                 "--dim", "8", "--size-factor", "0.02"]) == 0
-    out = capsys.readouterr().out
-    assert "wrote 30 bags" in out
-    manifest = (tmp_path / "s" / "manifest.tsv").read_text()
-    assert manifest.count("\ttrain") == 20
-    assert manifest.count("\tval") == 5
-    assert manifest.count("\ttest") == 5
-
-
-def test_gen_synthetic_usage_errors(tmp_path):
+def test_gen_synthetic_usage_errors(tmp_path, capsys):
     assert main(["gen-synthetic", "--out", str(tmp_path / "x"),
                  "--splits", "1,2"]) == 2
     assert main(["gen-synthetic", "--out", str(tmp_path / "x"),
-                 "--slides", "0"]) == 2
-    assert main(["gen-synthetic", "--out", str(tmp_path / "x"),
                  "--splits", "4,1,1", "--dim", "1"]) == 2
-
-
-def test_gen_synthetic_rejects_slides_with_splits(tmp_path, capsys):
-    out = tmp_path / "x"
-    assert main(["gen-synthetic", "--out", str(out), "--slides", "12",
-                 "--splits", "2,2,2"]) == 2
-    assert "--slides or --splits" in capsys.readouterr().err
-    assert not out.exists()
+    capsys.readouterr()
+    for splits in ("0,0,0", "4,-1,1"):
+        assert main(["gen-synthetic", "--out", str(tmp_path / "x"),
+                     "--splits", splits]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: at least one slide required",
+        "error: split sizes must be non-negative"]
+    with pytest.raises(SystemExit) as exc:  # argparse rejects an unknown flag
+        main(["gen-synthetic", "--out", str(tmp_path / "x"), "--slides", "12"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_synthetic_out_naming_a_file_is_usage_error_before_any_write(
@@ -336,7 +327,7 @@ def test_train_env_var_supplies_data_root(dataset, tmp_path, monkeypatch):
     (["train", "--method", "multitask", "--beta", "inf"], "beta"),
     (["train", "--method", "weighted", "--weights", "inf,1,1",
       "--allow-any-weights"], "no_consensus"),
-    (["grid", "--method", "multitask", "--grid-ab", "(nan,1)"], "alpha"),
+    (["grid", "--method", "multitask", "--points", "(nan,1)"], "alpha"),
     (["gen-synthetic", "--noise-sigma", "nan"], "noise_sigma"),
     (["gen-synthetic", "--size-factor", "inf"], "size_factor"),
 ], ids=["lr-nan", "lr-inf", "alpha-nan", "beta-inf", "weights-inf", "grid-ab-nan",
@@ -407,6 +398,15 @@ def test_negative_seed_is_usage_error_before_any_io(args, message, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_non_integer_seed_is_usage_error_before_any_read(tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.setattr(cli, "read_manifest", _no_read)
+    assert main(["train", "--seeds", "1,x", "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: bad seed list '1,x'"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_missing_data_dir_is_data_error(tmp_path):
     assert main(["train", "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "r.report")]) == 3
@@ -469,6 +469,26 @@ def test_train_runaway_lr_is_numeric_error(dataset, tmp_path):
     assert code == 4
 
 
+def test_non_finite_adam_gradient_is_numeric_error_naming_where(
+        dataset, tmp_path, monkeypatch, capsys):
+    def failing_adam(state, params, lr):
+        raise NumericError("non-finite gradient in parameter cls.w")
+
+    monkeypatch.setattr(training, "adam_step", failing_adam)
+    capsys.readouterr()
+    assert main(["train", "--data", str(dataset),
+                 "--out", str(tmp_path / "r.report")] + FAST_TRAIN) == 4
+    assert main(["grid", "--data", str(dataset), "--method", "multitask",
+                 "--points", "(1,0)", "--epochs", "1", "--seeds", "1",
+                 "--out", str(tmp_path / "grid.txt")]) == 4
+    train_err, grid_err = capsys.readouterr().err.splitlines()
+    where = r"epoch 0, slide s\d+: non-finite gradient in parameter cls\.w"
+    assert re.fullmatch(f"numeric failure: {where}", train_err)
+    assert re.fullmatch(rf"numeric failure: grid point TrainConfig\(.*\): {where}",
+                        grid_err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_train_creates_no_out_directory(dataset, tmp_path):
     # a directory is made only when a file is written into it
     with np.errstate(all="ignore"):
@@ -483,7 +503,7 @@ def test_failed_train_creates_no_out_directory(dataset, tmp_path):
 
 def test_grid_weighted_prints_table(dataset, capsys):
     code = main(["grid", "--data", str(dataset), "--method", "weighted",
-                 "--grid-weights", "(1,1,1);(4,3,1)", "--model", "maxmil",
+                 "--points", "(1,1,1);(4,3,1)", "--model", "maxmil",
                  "--hidden-dim", "8", "--attention-dim", "4",
                  "--epochs", "2", "--seeds", "1"])
     assert code == 0
@@ -495,7 +515,7 @@ def test_grid_weighted_prints_table(dataset, capsys):
 def test_grid_multitask_writes_table_file(dataset, tmp_path, capsys):
     table = tmp_path / "grid.txt"
     code = main(["grid", "--data", str(dataset), "--method", "multitask",
-                 "--grid-ab", "(1,0);(1,1)", "--model", "maxmil",
+                 "--points", "(1,0);(1,1)", "--model", "maxmil",
                  "--hidden-dim", "8", "--attention-dim", "4",
                  "--epochs", "2", "--seeds", "1", "--out", str(table)])
     assert code == 0
@@ -509,7 +529,7 @@ def test_grid_failed_table_write_keeps_the_old_table(dataset, tmp_path,
     table = tmp_path / "grid.txt"
     table.write_text("old table\n")
     assert main(["grid", "--data", str(dataset), "--method", "multitask",
-                 "--grid-ab", "(1,0)", "--model", "maxmil", "--hidden-dim", "8",
+                 "--points", "(1,0)", "--model", "maxmil", "--hidden-dim", "8",
                  "--attention-dim", "4", "--epochs", "1", "--seeds", "1",
                  "--out", str(table)]) == 3
     assert "disk full" in capsys.readouterr().err
@@ -520,32 +540,31 @@ def test_grid_failed_table_write_keeps_the_old_table(dataset, tmp_path,
 def test_grid_out_creates_its_directory(dataset, tmp_path, capsys):
     table = tmp_path / "new" / "dir" / "grid.txt"
     assert main(["grid", "--data", str(dataset), "--method", "multitask",
-                 "--grid-ab", "(1,0)", "--model", "maxmil", "--hidden-dim", "8",
+                 "--points", "(1,0)", "--model", "maxmil", "--hidden-dim", "8",
                  "--attention-dim", "4", "--epochs", "1", "--seeds", "1",
                  "--out", str(table)]) == 0
     assert capsys.readouterr().out.endswith(f"table: {table}\n")
     assert "bal_acc" in table.read_text()
 
 
-def test_grid_rejects_bad_points(dataset):
-    common = ["grid", "--data", str(dataset), "--epochs", "1", "--seeds", "1"]
-    assert main(common + ["--method", "multitask", "--grid-ab", "(1)"]) == 2
-    assert main(common + ["--method", "weighted", "--grid-weights", "(1,2)"]) == 2
-
-
-def test_grid_weighted_rejects_alpha_beta_grid(dataset, capsys):
-    assert main(["grid", "--data", str(dataset), "--epochs", "1", "--seeds", "1",
-                 "--method", "weighted", "--grid-ab", "(1,5)",
-                 "--grid-weights", "(4,3,1)"]) == 2
-    assert "--grid-ab only applies to --method multitask" in capsys.readouterr().err
-
-
-def test_grid_multitask_rejects_weight_grid(dataset, capsys):
-    assert main(["grid", "--data", str(dataset), "--epochs", "1", "--seeds", "1",
-                 "--method", "multitask", "--grid-ab", "(1,5)",
-                 "--grid-weights", "(4,3,1)"]) == 2
-    assert ("--grid-weights only applies to --method weighted"
-            in capsys.readouterr().err)
+def test_grid_rejects_bad_points(dataset, tmp_path, capsys):
+    common = ["grid", "--data", str(dataset), "--epochs", "1", "--seeds", "1",
+              "--out", str(tmp_path / "grid.txt")]
+    capsys.readouterr()
+    assert main(common + ["--method", "multitask", "--points", "(1)"]) == 2
+    assert main(common + ["--method", "weighted", "--points", "(1,2)"]) == 2
+    assert main(common + ["--method", "multitask", "--points", "(1,x)"]) == 2
+    assert main(common + ["--method", "weighted", "--points", ";"]) == 2
+    assert main(common + ["--method", "weighted", "--points", ""]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad point '(1)': expected 2 comma-separated numbers",
+        "error: bad point '(1,2)': expected 3 comma-separated numbers",
+        "error: bad point '(1,x)': expected 2 comma-separated numbers",
+        "error: empty grid ';'", "error: empty grid ''"]
+    with pytest.raises(SystemExit) as exc:  # argparse rejects an unknown flag
+        main(common + ["--method", "multitask", "--grid-ab", "(1,0)"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---- eval -------------------------------------------------------------------------
@@ -599,6 +618,17 @@ def test_eval_split_selector(baseline_run, capsys):
     assert main(["eval", str(baseline_run), "--split", "val",
                  "--bootstrap", "50"]) == 0
     assert "slides: 8 (val)" in capsys.readouterr().out
+
+
+def test_eval_split_with_no_slides_is_data_error(baseline_run, tmp_path, capsys):
+    data = tmp_path / "noval"
+    assert main(["gen-synthetic", "--out", str(data), "--splits", "4,0,2",
+                 "--dim", "8", "--size-factor", "0.02"]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(baseline_run.parent / "base_params_seed1.npz"),
+                 "--data", str(data), "--split", "val"]) == 3
+    assert capsys.readouterr().err == (f"data error: no val slides in "
+                                       f"{data / 'manifest.tsv'}\n")
 
 
 def test_eval_detects_manifest_drift(baseline_run, dataset, tmp_path, capsys):
@@ -972,8 +1002,8 @@ def test_attn_map_and_grid_files_match_pinned_bytes(tmp_path):
                     + PINNED_VIEW_FIT) == 0
         assert main(["attn-map", "--params", str(tmp_path / f"{head}_params_seed1.npz"),
                      "--bag", str(bag), "--out-prefix", str(tmp_path / head)]) == 0
-    for method, points in (("multitask", ["--grid-ab", "(1,2);(1,0)"]),
-                           ("weighted", ["--grid-weights", "(1,1,1);(4,3,1)"])):
+    for method, points in (("multitask", ["--points", "(1,2);(1,0)"]),
+                           ("weighted", ["--points", "(1,1,1);(4,3,1)"])):
         assert main(["grid", "--data", str(data), "--method", method, *points,
                      "--seeds", "1,2", "--out", str(tmp_path / f"{method}.grid")]
                     + PINNED_VIEW_FIT) == 0

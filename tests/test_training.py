@@ -474,6 +474,26 @@ def test_runaway_learning_rate_raises_numeric_error(dataset):
               dataset["train"], dataset["val"])
 
 
+def test_adam_numeric_error_names_epoch_slide_and_grid_point(dataset, monkeypatch):
+    mc = tiny_model(dataset["dim"])
+    name = next(iter(init_model(mc)))
+
+    def failing_adam(state, params, lr):
+        raise NumericError(f"non-finite gradient in parameter {name}")
+
+    monkeypatch.setattr(training, "adam_step", failing_adam)
+    order = np.random.default_rng([1, 0]).permutation(len(dataset["train"]))
+    slide = dataset["train"][order[0]].bag.slide_id   # seed 1's first step
+    expected = f"epoch 0, slide {slide}: non-finite gradient in parameter {name}"
+    config = TrainConfig(epochs=1, seed=1)
+    with pytest.raises(NumericError) as exc:
+        train(mc, config, dataset["train"], dataset["val"])
+    assert str(exc.value) == expected
+    with pytest.raises(NumericError) as exc:
+        grid_search(mc, [config], dataset["train"], dataset["val"], seeds=(1,))
+    assert str(exc.value) == f"grid point {config}: {expected}"
+
+
 def test_predictions_have_sample_shape(dataset):
     mc = tiny_model(dataset["dim"])
     pred = predict_classes(init_model(mc), mc, dataset["val"])
@@ -586,9 +606,10 @@ def _mixed_samples(tmp_path, dtype):
 @pytest.mark.parametrize("head", HEAD_KINDS)
 def test_stacked_predictions_equal_per_bag_forwards(tmp_path, monkeypatch,
                                                     head, reg, dtype):
-    # a stack holds three 5-instance bags' float32 features, so the five
-    # resident 5-instance bags run as 3 + 2
-    monkeypatch.setattr(training, "RESIDENT_BAG_BYTES", 3 * 4 * 5 * 6)
+    # a stack holds three 5-instance bags' features, so the five resident
+    # 5-instance bags run as 3 + 2
+    monkeypatch.setattr(training, "RESIDENT_BAG_BYTES",
+                        3 * np.dtype(dtype).itemsize * 5 * 6)
     mc = ModelConfig(head, 6, hidden_dim=7, attention_dim=3,
                      with_regression_head=reg, init_seed=4)
     params = init_model(mc)
@@ -617,6 +638,25 @@ def test_stacked_predictions_equal_per_bag_forwards(tmp_path, monkeypatch,
             assert out.wsd_prediction[j].tobytes() == single.wsd_prediction.tobytes()
         expected.append(single.predicted_class())
     assert classes.tolist() == expected
+
+
+def test_float64_stacks_hold_at_most_the_resident_bag_budget(monkeypatch):
+    # twenty resident 32 KiB float64 bags: eight fill a 256 KiB stack
+    rng = np.random.default_rng(3)
+    samples = [training.Sample(Bag(f"s{i:02d}", rng.standard_normal((64, 64)),
+                                   np.stack([np.arange(64)] * 2, axis=1)), 0)
+               for i in range(20)]
+    stack_bytes = []
+
+    def recording_forward(params, config, bags):
+        stack_bytes.append(sum(b.features.nbytes for b in bags))
+        return forward_bag(params, config, bags)
+
+    monkeypatch.setattr(training, "forward_bag", recording_forward)
+    mc = tiny_model(64)
+    predict_classes(init_model(mc), mc, samples)
+    assert training.RESIDENT_BAG_BYTES == 256 * 2**10
+    assert stack_bytes == [8 * 32 * 2**10, 8 * 32 * 2**10, 4 * 32 * 2**10]
 
 
 def test_streamed_prediction_forwards_each_bag_before_the_next_read(tmp_path,
