@@ -96,10 +96,26 @@ def _check_at_least(args, **minimums: int) -> None:
                              f"got {value}")
 
 
-def _data_manifest(args) -> Path | None:
-    """manifest.tsv under --data, or else $WSDMIL_DATA_ROOT; None if neither."""
+def _data_manifest(args, recorded=None) -> Path:
+    """The manifest a command reads: manifest.tsv under --data, else a
+    report's ``recorded`` manifest, else manifest.tsv under $WSDMIL_DATA_ROOT."""
+    if recorded is not None and not args.data:
+        return Path(recorded)
     root = args.data or os.environ.get(DATA_ROOT_ENV)
-    return Path(root) / "manifest.tsv" if root else None
+    if not root:
+        raise UsageError(f"no data directory: pass --data or set {DATA_ROOT_ENV}")
+    return Path(root) / "manifest.tsv"
+
+
+def _check(path, rows) -> None:
+    """Reject a file whose stored values are not the actual ones: each row is
+    (section, key, stored, actual), and a stored None is a missing key."""
+    for section, key, stored, actual in rows:
+        if stored is None:
+            raise ValueError(f"{path}: [{section}] has no {key!r}")
+        if stored != actual:
+            raise ValueError(f"{path}: [{section}] {key} {stored!r} should be "
+                             f"{actual!r}")
 
 
 def _check_file_path(flag: str, path: str) -> None:
@@ -128,8 +144,6 @@ def _setup(args, *splits: str):
                            attention_dim=args.attention_dim,
                            with_regression_head=(args.method == "multitask"))
     manifest_path = _data_manifest(args)
-    if manifest_path is None:
-        raise UsageError(f"no data directory: pass --data or set {DATA_ROOT_ENV}")
     samples = _load_samples(manifest_path, *splits)
     model_config = replace(model_config, input_dim=samples[splits[0]][0].bag.d)
     return seeds, model_config, manifest_path, samples
@@ -185,10 +199,11 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_consensus_stats(args) -> int:
-    entries = read_manifest(args.manifest)
+    manifest_path = _data_manifest(args)
+    entries = read_manifest(manifest_path)
     scored = [e for e in entries if e.nonexpert is not None]
     if not scored:
-        raise ValueError(f"{args.manifest}: no slide has both scores")
+        raise ValueError(f"{manifest_path}: no slide has both scores")
     levels = list(ConsensusLevel)
     by_class = np.zeros((4, len(levels)), dtype=np.int64)
     for e in scored:
@@ -370,23 +385,22 @@ def cmd_grid(args) -> int:
 # ---- eval -------------------------------------------------------------------------
 
 
-def _load_system(target: Path, manifest_path: Path | None):
+def _load_system(target: Path, args, manifest_path: Path | None = None):
     """Per-seed (archive path, (params, config)) of a params archive or a
     run report, whose config and history _check_report checks against them.
 
-    Returns (manifest_path, models, stored_report).  A report is evaluated on
-    its recorded manifest unless one is given, whose fingerprint must match.
+    Returns (manifest_path, models, stored_report).  Unless ``manifest_path``
+    is given, it is _data_manifest's, which for a report is its recorded
+    manifest unless --data replaces it; a report's fingerprint must match.
     """
     if target.suffix == ".npz":
+        manifest_path = manifest_path or _data_manifest(args)
         return manifest_path, [(target, load_params(target))], None
 
     report = read_report(target)
-    if manifest_path is None:
-        manifest_path = Path(report.manifest)
-    fingerprint = manifest_fingerprint(manifest_path)
-    if fingerprint != report.fingerprint:
-        raise ValueError(f"manifest {manifest_path} fingerprint {fingerprint[:12]} "
-                         f"does not match report {report.fingerprint[:12]}")
+    manifest_path = manifest_path or _data_manifest(args, report.manifest)
+    _check(target, [("data", "fingerprint", report.fingerprint,
+                     manifest_fingerprint(manifest_path))])
     paths = [target.parent / s.params_path for s in report.seeds]
     models = [(p, load_params(p)) for p in paths]
     _check_report(target, report, models)
@@ -398,17 +412,17 @@ def _check_report(path: Path, report, models) -> None:
     head, dims, method (multitask exactly with a regression head), seeds (the
     [seed N] sections in order, each its archive's init seed), epochs (each
     [history N] holds 0..epochs-1) and best_epoch (the first best validation
-    epoch).  A missing key or a disagreement is a ValueError naming the key."""
+    epoch).  A missing key or a disagreement is _check's ValueError."""
     config = dict.fromkeys(("model", "hidden_dim", "attention_dim", "input_dim",
                             "method", "seeds", "epochs")) | report.config
-    for s, (archive, (_, mc)) in zip(report.seeds, models):
+    for s, (_, (_, mc)) in zip(report.seeds, models):
         method = config["method"]
         if (method == "multitask") != mc.with_regression_head:
             method = "multitask" if mc.with_regression_head else "not multitask"
         scores = [v for _, _, v in s.history]
         dims = [("config", key, config[key], str(getattr(mc, key)))
                 for key in ("hidden_dim", "attention_dim", "input_dim")]
-        for section, key, stored, actual in dims + [
+        _check(path, dims + [
                 ("config", "model", config["model"], mc.head_kind),
                 ("config", "method", config["method"], method),
                 ("config", "seeds", config["seeds"],
@@ -418,31 +432,17 @@ def _check_report(path: Path, report, models) -> None:
                  list(range(len(scores)))),
                 ("config", "epochs", config["epochs"], str(len(scores))),
                 (f"seed {s.seed}", "best_epoch", s.best_epoch,
-                 scores.index(max(scores)) if scores else None)]:
-            if stored is None:
-                raise ValueError(f"{path}: [{section}] has no {key!r}")
-            if stored != actual:
-                raise ValueError(f"{path}: [{section}] {key} {stored!r} should be "
-                                 f"{actual!r} for {archive}")
+                 scores.index(max(scores)) if scores else None)])
 
 
 def cmd_eval(args) -> int:
     _check_at_least(args, bootstrap=1, permutations=1, stats_seed=0)
-    archive = Path(args.target).suffix == ".npz"
-    # $WSDMIL_DATA_ROOT stands in for --data on an archive only: a report
-    # runs on its recorded manifest unless --manifest or --data replaces it
-    manifest_path = (Path(args.manifest) if args.manifest
-                     else _data_manifest(args) if args.data or archive else None)
-    if manifest_path is None and archive:
-        raise UsageError("--manifest (or --data) required when evaluating a "
-                         "parameter archive")
-
-    manifest_path, models, stored = _load_system(Path(args.target), manifest_path)
+    manifest_path, models, stored = _load_system(Path(args.target), args)
     samples = _load_samples(manifest_path, args.split)[args.split]
     other_models = []
     if args.compare:
         # system B is predicted on A's samples, so both cover the same slides
-        _, other_models, _ = _load_system(Path(args.compare), manifest_path)
+        _, other_models, _ = _load_system(Path(args.compare), args, manifest_path)
         if len(other_models) != len(models):
             raise ValueError(f"compared runs have different seed counts "
                              f"({len(models)} vs {len(other_models)})")
@@ -455,15 +455,12 @@ def cmd_eval(args) -> int:
     # stored numbers are test metrics, so only cross-check on test; the CI
     # offsets depend on --bootstrap and --stats-seed, which are not recorded
     if stored is not None and args.split == "test":
-        checks = [(f"seed {s.seed}", key, getattr(s, key), fn(m))
-                  for s, m in zip(stored.seeds, per_seed_ms)
-                  for key, fn in SEED_METRICS.items()]
-        checks += [("mean", key, getattr(stored, f"mean_{key}"), ci.point)
-                   for key, ci in cis.items()]
-        for section, key, want, got in checks:
-            if got != want:
-                raise ValueError(f"[{section}] {key}: recomputed {got!r} "
-                                 f"differs from report {want!r}")
+        _check(args.target,
+               [(f"seed {s.seed}", key, getattr(s, key), fn(m))
+                for s, m in zip(stored.seeds, per_seed_ms)
+                for key, fn in SEED_METRICS.items()]
+               + [("mean", key, getattr(stored, f"mean_{key}"), ci.point)
+                  for key, ci in cis.items()])
         print(f"report metrics reproduced for seeds "
               f"{','.join(str(s.seed) for s in stored.seeds)}")
 
@@ -530,7 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     data = argparse.ArgumentParser(add_help=False)
-    data.add_argument("--data", help=f"dataset directory (default ${DATA_ROOT_ENV})")
+    data.add_argument("--data", help="dataset directory holding manifest.tsv "
+                      f"(default ${DATA_ROOT_ENV}; eval of a report defaults "
+                      "to its recorded manifest)")
     fit = argparse.ArgumentParser(add_help=False)
     fit.add_argument("--model", choices=HEAD_KINDS, default="abmil")
     fit.add_argument("--lr", type=float, default=1e-3)
@@ -554,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sigma", type=float, default=0.7)
     p.set_defaults(func=cmd_gen_synthetic)
 
-    p = sub.add_parser("consensus-stats", help="consensus mix of a manifest")
-    p.add_argument("--manifest", required=True)
+    p = sub.add_parser("consensus-stats", parents=[data],
+                       help="consensus mix of a manifest")
     p.set_defaults(func=cmd_consensus_stats)
 
     p = sub.add_parser("train", parents=[data, fit, stats],
@@ -581,9 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[data, stats],
                        help="evaluate a report or parameter archive")
     p.add_argument("target", help="run report (.txt) or parameter archive (.npz)")
-    p.add_argument("--manifest", help="manifest to evaluate on (default: "
-                   "--data's; else the one recorded in a report, or "
-                   f"${DATA_ROOT_ENV}'s for an archive)")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--compare", help="second report/archive for a paired "
                    "permutation test")
@@ -603,7 +599,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except UsageError as exc:

@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +25,6 @@ from wsdmil.bags import (
     write_manifest,
 )
 from wsdmil.gleason import ConsensusLevel, class_of, consensus_level, parse_score
-
-# tiny cohorts drift from the calibration targets; that warning is expected here
-pytestmark = pytest.mark.filterwarnings("ignore:consensus mix off calibration")
 
 
 def sample_bag(n=7, d=5, seed=0):
@@ -385,7 +383,8 @@ def test_manifest_reports_bad_score_with_line_number(tmp_path):
 def test_empty_manifest_warns(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("# nothing here\n")
-    with pytest.warns(UserWarning, match="no entries"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert read_manifest(path) == []
 
 

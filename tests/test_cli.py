@@ -15,7 +15,6 @@ from wsdmil.cli import DATA_ROOT_ENV, main
 from wsdmil.reports import load_params, read_report
 from wsdmil.training import NumericError
 
-pytestmark = pytest.mark.filterwarnings("ignore:consensus mix off calibration")
 
 GEN_ARGS = ["--splits", "24,8,8", "--dim", "8", "--size-factor", "0.02",
             "--seed", "5"]
@@ -51,14 +50,12 @@ def test_gen_synthetic_writes_dataset(dataset, capsys):
     assert (dataset / "manifest.tsv").is_file()
     bags = sorted((dataset / "bags").glob("*.bag"))
     assert len(bags) == 40
-    assert main(["consensus-stats", "--manifest",
-                 str(dataset / "manifest.tsv")]) == 0
+    assert main(["consensus-stats", "--data", str(dataset)]) == 0
     out = capsys.readouterr().out
     assert "slides: 40" in out
     assert "no_consensus" in out
 
 
-@pytest.mark.filterwarnings("ignore:manifest .* contains no entries")
 def test_consensus_stats_counts_only_slides_with_both_scores(dataset, tmp_path,
                                                              capsys):
     lines = (dataset / "manifest.tsv").read_text().splitlines(keepends=True)
@@ -69,10 +66,10 @@ def test_consensus_stats_counts_only_slides_with_both_scores(dataset, tmp_path,
     for name, rows in (("dash", lines[:test_row] + [unscored] + lines[test_row + 1:]),
                        ("cut", lines[:test_row] + lines[test_row + 1:]),
                        ("none", [lines[0], unscored]), ("empty", [lines[0]])):
-        manifest = tmp_path / f"{name}.tsv"
-        manifest.write_text("".join(rows))
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.tsv").write_text("".join(rows))
         capsys.readouterr()
-        code = main(["consensus-stats", "--manifest", str(manifest)])
+        code = main(["consensus-stats", "--data", str(tmp_path / name)])
         outputs.append((code, capsys.readouterr()))
     (dash, out), (cut, cut_out), *unscorable = outputs
     assert dash == cut == 0
@@ -82,7 +79,8 @@ def test_consensus_stats_counts_only_slides_with_both_scores(dataset, tmp_path,
     assert out.out.splitlines()[2:] == cut_out.out.splitlines()[1:]
     for (code, err), name in zip(unscorable, ("none", "empty")):
         assert code == 3
-        assert err.err.startswith(f"data error: {tmp_path / name}.tsv: no slide ")
+        assert err.err.startswith(
+            f"data error: {tmp_path / name / 'manifest.tsv'}: no slide ")
 
 
 def test_gen_synthetic_is_deterministic(tmp_path):
@@ -152,7 +150,7 @@ def test_gen_synthetic_and_consensus_stats_match_pinned_output(tmp_path,
     capsys.readouterr()
     assert main(["gen-synthetic", "--out", "ds"] + PINNED_GEN) == 0
     assert capsys.readouterr().out == PINNED_GEN_STDOUT
-    assert main(["consensus-stats", "--manifest", "ds/manifest.tsv"]) == 0
+    assert main(["consensus-stats", "--data", "ds"]) == 0
     assert capsys.readouterr().out == PINNED_STATS_STDOUT
     assert sha256(tmp_path / "ds" / "manifest.tsv") == PINNED_MANIFEST
     assert {p.stem: sha256(p)
@@ -171,9 +169,9 @@ def test_gen_synthetic_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: at least one slide required",
         "error: split sizes must be non-negative"]
-    with pytest.raises(SystemExit) as exc:  # argparse rejects an unknown flag
-        main(["gen-synthetic", "--out", str(tmp_path / "x"), "--slides", "12"])
-    assert exc.value.code == 2
+    # argparse rejects an unknown flag
+    assert main(["gen-synthetic", "--out", str(tmp_path / "x"), "--slides",
+                 "12"]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -416,7 +414,7 @@ def test_undecodable_manifest_is_data_error_naming_it(dataset, tmp_path, capsys)
     manifest = tmp_path / "manifest.tsv"
     manifest.write_bytes(b"# \xff" + (dataset / "manifest.tsv").read_bytes())
     capsys.readouterr()
-    assert main(["consensus-stats", "--manifest", str(manifest)]) == 3
+    assert main(["consensus-stats", "--data", str(tmp_path)]) == 3
     assert main(["train", "--data", str(tmp_path),
                  "--out", str(tmp_path / "r.report")] + FAST_TRAIN) == 3
     err = capsys.readouterr().err.splitlines()
@@ -434,8 +432,7 @@ def test_manifest_with_byte_order_mark_reads_as_without(dataset, tmp_path,
     outputs = []
     for root in (dataset, bom):
         capsys.readouterr()
-        assert main(["consensus-stats", "--manifest",
-                     str(root / "manifest.tsv")]) == 0
+        assert main(["consensus-stats", "--data", str(root)]) == 0
         assert main(["train", "--data", str(root), "--out",
                      str(tmp_path / root.name / "r.report")] + FAST_TRAIN) == 0
         out = capsys.readouterr().out.replace(str(tmp_path / root.name), "OUT")
@@ -561,9 +558,8 @@ def test_grid_rejects_bad_points(dataset, tmp_path, capsys):
         "error: bad point '(1,2)': expected 3 comma-separated numbers",
         "error: bad point '(1,x)': expected 2 comma-separated numbers",
         "error: empty grid ';'", "error: empty grid ''"]
-    with pytest.raises(SystemExit) as exc:  # argparse rejects an unknown flag
-        main(common + ["--method", "multitask", "--grid-ab", "(1,0)"])
-    assert exc.value.code == 2
+    # argparse rejects an unknown flag
+    assert main(common + ["--method", "multitask", "--grid-ab", "(1,0)"]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -593,12 +589,23 @@ def test_eval_params_archive_needs_manifest(baseline_run, dataset, monkeypatch,
     with monkeypatch.context() as patch:  # refused before the archive is read
         patch.setattr(cli, "load_params", _no_read)
         assert main(["eval", str(archive)]) == 2
-    assert capsys.readouterr().err == ("error: --manifest (or --data) required "
-                                       "when evaluating a parameter archive\n")
-    assert main(["eval", str(archive), "--manifest",
-                 str(dataset / "manifest.tsv"), "--bootstrap", "50"]) == 0
+    assert capsys.readouterr().err == ("error: no data directory: pass --data "
+                                       f"or set {DATA_ROOT_ENV}\n")
+    assert main(["eval", str(archive), "--data", str(dataset),
+                 "--bootstrap", "50"]) == 0
     out = capsys.readouterr().out
     assert "seeds: 1" in out
+
+
+def test_parser_exits_are_returned_not_raised(baseline_run, dataset, capsys):
+    # eval and consensus-stats read --data's manifest; --manifest is unknown
+    assert main(["eval", str(baseline_run), "--manifest",
+                 str(dataset / "manifest.tsv")]) == 2
+    assert main(["consensus-stats", "--manifest",
+                 str(dataset / "manifest.tsv")]) == 2
+    assert "unrecognized arguments: --manifest" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: wsdmil")
 
 
 def test_eval_env_data_root_stands_in_for_data_on_an_archive_only(
@@ -634,8 +641,9 @@ def test_eval_split_with_no_slides_is_data_error(baseline_run, tmp_path, capsys)
 def test_eval_detects_manifest_drift(baseline_run, dataset, tmp_path, capsys):
     edited = tmp_path / "manifest.tsv"
     edited.write_bytes((dataset / "manifest.tsv").read_bytes() + b"# note\n")
-    assert main(["eval", str(baseline_run), "--manifest", str(edited)]) == 3
-    assert "fingerprint" in capsys.readouterr().err
+    assert main(["eval", str(baseline_run), "--data", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"data error: {baseline_run}: [data] fingerprint ")
 
 
 def _copy_run(baseline_run, target):
@@ -655,6 +663,18 @@ def test_eval_report_missing_key_is_data_error(baseline_run, tmp_path, capsys):
     assert main(["eval", str(report)]) == 3
     err = capsys.readouterr().err
     assert f"{report}: [seed 1] has no 'weighted_f1'" in err
+
+
+def test_eval_report_with_missing_archive_is_data_error_naming_it(
+        baseline_run, tmp_path, capsys):
+    report = tmp_path / "base.report"
+    report.write_text("".join(_copy_run(baseline_run, report)))
+    (tmp_path / "base_params_seed1.npz").unlink()
+    capsys.readouterr()
+    assert main(["eval", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert str(tmp_path / "base_params_seed1.npz") in err
 
 
 def test_undecodable_report_is_data_error_naming_it(baseline_run, tmp_path,
@@ -685,8 +705,8 @@ def test_eval_edited_report_number_is_data_error(baseline_run, tmp_path, capsys,
     capsys.readouterr()
     assert main(["eval", str(report), "--bootstrap", "20"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: [{section}] {key}: recomputed ")
-    assert " differs from report " in err
+    assert err.startswith(f"data error: {report}: [{section}] {key} ")
+    assert " should be " in err
 
 
 @pytest.fixture(scope="module")
@@ -769,8 +789,7 @@ def test_malformed_params_archive_is_data_error(corrupt, baseline_run, dataset,
     corrupt(baseline_run.parent / "base_params_seed1.npz", archive)
     bag = sorted((dataset / "bags").glob("*.bag"))[0]
     capsys.readouterr()
-    assert main(["eval", str(archive), "--manifest",
-                 str(dataset / "manifest.tsv")]) == 3
+    assert main(["eval", str(archive), "--data", str(dataset)]) == 3
     assert main(["attn-map", "--params", str(archive), "--bag", str(bag),
                  "--out-prefix", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err.splitlines()
@@ -794,11 +813,11 @@ def test_eval_rejects_model_of_other_input_dim_before_predicting(tmp_path,
         manifests[dim] = data / "manifest.tsv"
     monkeypatch.setattr(cli, "predict_classes", None)  # a prediction would fail
     capsys.readouterr()
-    assert main(["eval", str(archives[8]), "--manifest", str(manifests[6])]) == 3
+    assert main(["eval", str(archives[8]), "--data", str(tmp_path / "d6")]) == 3
     err = capsys.readouterr().err
     assert f"{archives[8]} has model input dim 8, but slide " in err
     assert f"in {manifests[6]} has feature dim 6" in err
-    assert main(["eval", str(archives[8]), "--manifest", str(manifests[8]),
+    assert main(["eval", str(archives[8]), "--data", str(tmp_path / "d8"),
                  "--compare", str(archives[6])]) == 3
     err = capsys.readouterr().err
     assert f"{archives[6]} has model input dim 6, but slide " in err

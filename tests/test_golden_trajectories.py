@@ -17,7 +17,6 @@ from wsdmil.gleason import WeightTriple
 from wsdmil.models import HEAD_KINDS, ModelConfig
 from wsdmil.training import TrainConfig, samples_from_entries, train
 
-pytestmark = pytest.mark.filterwarnings("ignore:consensus mix off calibration")
 
 HEAVY = WeightTriple(4.0, 3.0, 1.0)
 

@@ -17,7 +17,6 @@ from wsdmil.cli import main
 from wsdmil.models import HEAD_KINDS, ModelConfig
 from wsdmil.training import BagOnDisk, TrainConfig, samples_from_entries, train
 
-pytestmark = pytest.mark.filterwarnings("ignore:consensus mix off calibration")
 
 GEN_ARGS = ["--splits", "24,8,8", "--dim", "8", "--size-factor", "0.02",
             "--seed", "5"]

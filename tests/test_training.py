@@ -33,7 +33,6 @@ from wsdmil.training import (
     train,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore:consensus mix off calibration")
 
 UNIT = WeightTriple(1.0, 1.0, 1.0, allow_out_of_range=True)
 HEAVY = WeightTriple(4.0, 3.0, 1.0)
@@ -299,8 +298,7 @@ def test_grad_check_passes_on_flat_parameters(head):
     def loss_fn():
         return loss_multitask(forward_bag(params, mc, bag), 1, 0.5, alpha=1.0, beta=1.0)
 
-    report = grad_check(loss_fn, list(params.values()), epsilon=5e-5, tolerance=1e-6)
-    assert report.max_rel_error < 1e-6
+    assert grad_check(loss_fn, list(params.values()), epsilon=5e-5) < 1e-6
     assert all(p.data.base is state.params and p.grad.base is state.grads
                for p in params.values())
 
