@@ -2,12 +2,12 @@
 
 A bag is one slide's set of patch feature vectors plus patch-grid coordinates.
 Bags live on disk in a fixed little-endian binary layout and are enumerated
-by a flat tab-separated manifest.  Features stay float32 in memory, as read;
-each forward pass widens them to float64, which is exact.  Bags, manifests
-and every other file this package writes are written atomically, through a
-temp file beside the target that is renamed over it.  The synthetic
-generator samples Gaussian prototype mixtures whose hardness and rater
-disagreement both grow with a latent difficulty, and its constants are
+by a flat tab-separated manifest.  Features are float32 in memory, as on
+disk; each forward pass widens them to float64, which is exact.  Bags,
+manifests and every other file this package writes are written atomically,
+through a temp file beside the target that is renamed over it.  The
+synthetic generator samples Gaussian prototype mixtures whose hardness and
+rater disagreement both grow with a latent difficulty, and its constants are
 calibrated so the consensus-level mix lands near the target fractions below.
 """
 
@@ -60,8 +60,8 @@ class BagFormatError(ValueError):
 class Bag:
     """One slide's instance features (n, d) and patch-grid coords (n, 2).
 
-    float32 features are kept as they are; any other dtype is widened to
-    float64.  Each patch-grid coordinate may occur once per bag.
+    Features are float32, as in a bag file; a value beyond float32's range
+    is non-finite.  Each patch-grid coordinate may occur once per bag.
     """
 
     slide_id: str
@@ -69,9 +69,8 @@ class Bag:
     coords: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features)
-        if self.features.dtype != np.float32:
-            self.features = self.features.astype(np.float64, copy=False)
+        with np.errstate(over="ignore"):    # overflow is the inf rejected below
+            self.features = np.asarray(self.features, dtype=np.float32)
         self.coords = np.ascontiguousarray(self.coords, dtype=np.int32)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError(f"bag {self.slide_id}: features must be (n>=1, d), "

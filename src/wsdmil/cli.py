@@ -107,15 +107,17 @@ def _data_manifest(args, recorded=None) -> Path:
     return Path(root) / "manifest.tsv"
 
 
-def _check(path, rows) -> None:
+def _check(path, rows, archive=None) -> None:
     """Reject a file whose stored values are not the actual ones: each row is
-    (section, key, stored, actual), and a stored None is a missing key."""
+    (section, key, stored, actual), and a stored None is a missing key.  A
+    disagreement names the ``archive`` the actual values come from, if any."""
     for section, key, stored, actual in rows:
         if stored is None:
             raise ValueError(f"{path}: [{section}] has no {key!r}")
         if stored != actual:
+            source = f" (archive {archive})" if archive else ""
             raise ValueError(f"{path}: [{section}] {key} {stored!r} should be "
-                             f"{actual!r}")
+                             f"{actual!r}{source}")
 
 
 def _check_file_path(flag: str, path: str) -> None:
@@ -235,7 +237,7 @@ def _seed_mean_ci(y_true, preds_per_seed, metric_fn, n_resamples, seed):
     label and every seed's prediction for it.  ``metric_fn`` maps a stack of
     confusion matrices to one value per matrix, or to k values per matrix
     along a new first axis; k metrics share one draw of resamples and give a
-    list of k CIs.
+    list of k CIs.  Every resample keeps a slide, so every metric is defined.
 
     A slide's record holds its confusion cell ``4 * label + prediction`` for
     each seed, offset by 16 per seed.  A chunk of resamples is offset by
@@ -253,8 +255,7 @@ def _seed_mean_ci(y_true, preds_per_seed, metric_fn, n_resamples, seed):
         counts = np.bincount(cells.ravel(), minlength=16 * seeds * rows)
         return (metric_fn(counts.reshape(rows, seeds, 4, 4)).sum(axis=-1) / seeds).T
 
-    return bootstrap_ci(records, metric, n_resamples=n_resamples, seed=seed,
-                        stacked=True)
+    return bootstrap_ci(records, metric, n_resamples=n_resamples, seed=seed)
 
 
 def _score(models, samples, n_resamples, stats_seed):
@@ -415,7 +416,7 @@ def _check_report(path: Path, report, models) -> None:
     epoch).  A missing key or a disagreement is _check's ValueError."""
     config = dict.fromkeys(("model", "hidden_dim", "attention_dim", "input_dim",
                             "method", "seeds", "epochs")) | report.config
-    for s, (_, (_, mc)) in zip(report.seeds, models):
+    for s, (archive, (_, mc)) in zip(report.seeds, models):
         method = config["method"]
         if (method == "multitask") != mc.with_regression_head:
             method = "multitask" if mc.with_regression_head else "not multitask"
@@ -425,9 +426,10 @@ def _check_report(path: Path, report, models) -> None:
         _check(path, dims + [
                 ("config", "model", config["model"], mc.head_kind),
                 ("config", "method", config["method"], method),
+                (f"seed {s.seed}", "seed", s.seed, mc.init_seed)], archive)
+        _check(path, [
                 ("config", "seeds", config["seeds"],
                  ",".join(str(t.seed) for t in report.seeds)),
-                (f"seed {s.seed}", "seed", s.seed, mc.init_seed),
                 (f"history {s.seed}", "epochs", [e for e, _, _ in s.history],
                  list(range(len(scores)))),
                 ("config", "epochs", config["epochs"], str(len(scores))),
@@ -504,7 +506,10 @@ def cmd_attn_map(args) -> int:
     _check_input_dim(args.params, mc, bag, f"bag {args.bag}")
     output = forward_bag(params, mc, bag)
     weights = extract_attention(output, bag)
-    grid = heatmap_grid(bag.coords, weights)
+    try:
+        grid = heatmap_grid(bag.coords, weights)
+    except ValueError as exc:
+        raise ValueError(f"bag {args.bag}: {exc}") from None
     # not Path.with_suffix, which would cut the ".s00001" off "abmil.s00001"
     table_path = Path(f"{args.out_prefix}.txt")
     image_path = Path(f"{args.out_prefix}.pgm")

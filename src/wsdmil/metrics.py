@@ -23,7 +23,6 @@ so the p-value does not depend on the chunk size.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -173,7 +172,6 @@ class BootstrapResult:
     point: float
     low: float
     high: float
-    n_skipped: int = 0
 
     def offsets(self) -> tuple[float, float]:
         """Signed distances from the point estimate, (negative, positive)."""
@@ -182,23 +180,17 @@ class BootstrapResult:
 
 def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
                  n_resamples: int = 1000, level: float = 0.95,
-                 seed: int = 0, *, stacked: bool = False) -> BootstrapResult:
+                 seed: int = 0) -> BootstrapResult | list[BootstrapResult]:
     """Resample slides with replacement and take percentile bounds of the
-    metric.  Resamples where the metric is undefined (raises ValueError or
-    ZeroDivisionError) are skipped and counted, with a warning past 1%.
-
-    The records are converted once with ``np.asarray``, resampled along the
-    first axis and handed to the metric as an array, one resample per call.
-    Indices are drawn a chunk of resamples at a time; PCG64 gives the same
-    indices as one draw of ``n`` per resample.
-
-    With ``stacked=True`` the metric takes a whole chunk, a ``(rows, n,
-    ...)`` stack of resamples, and returns its ``rows`` statistics; the
-    point estimate is its statistic of the one-resample stack
-    ``records[None]``.  Such a metric must be defined on every resample: a
-    ValueError propagates instead of skipping the resample.  It may return
-    ``(rows, k)`` statistics of k metrics of one resample each; the result
-    is then a list of k results, each the one its column alone would give.
+    metric.  The records are converted once with ``np.asarray`` and
+    resampled along the first axis.  The metric takes a ``(rows, n, ...)``
+    stack of resamples and returns its ``(rows,)`` statistics; the point
+    estimate is its statistic of the one-resample stack ``records[None]``.
+    The metric must be defined on every resample: whatever it raises
+    propagates.  It may return ``(rows, k)`` statistics of k metrics of one
+    resample each; the result is then a list of k results, each the one its
+    column alone would give.  Indices are drawn a chunk of resamples at a
+    time; PCG64 gives the same indices as one draw of ``n`` per resample.
     """
     records = np.asarray(records)
     if len(records) == 0:
@@ -207,32 +199,18 @@ def bootstrap_ci(records: Sequence | np.ndarray, metric: Callable,
         raise ValueError("n_resamples must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    point = metric(records[None])[0] if stacked else float(metric(records))
+    point = metric(records[None])[0]
     rng = np.random.default_rng(seed)
     n = len(records)
     rows = max(1, BOOTSTRAP_CHUNK // n)
     stats = []
-    skipped = 0
     for done in range(0, n_resamples, rows):
         drawn = rng.integers(0, n, size=(min(rows, n_resamples - done), n))
         chunk = np.take(records, drawn, axis=0)   # records[drawn], ~10x faster on 2-D
-        if stacked:
-            stats.extend(metric(chunk))
-            continue
-        for sample in chunk:
-            try:
-                stats.append(float(metric(sample)))
-            except (ValueError, ZeroDivisionError):
-                skipped += 1
-    if not stats:
-        raise ValueError("metric undefined on every bootstrap resample")
-    if skipped > 0.01 * n_resamples:
-        warnings.warn(f"bootstrap skipped {skipped}/{n_resamples} resamples "
-                      f"with undefined metric")
+        stats.extend(metric(chunk))
     tail = 100.0 * (1.0 - level) / 2.0
     low, high = np.percentile(stats, [tail, 100.0 - tail], axis=0)
     if np.ndim(point):
         return [BootstrapResult(float(p), float(lo), float(hi))
                 for p, lo, hi in zip(point, low, high)]
-    return BootstrapResult(point=float(point), low=float(low), high=float(high),
-                           n_skipped=skipped)
+    return BootstrapResult(float(point), float(low), float(high))

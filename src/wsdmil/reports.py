@@ -24,6 +24,9 @@ from .models import ModelConfig, param_shapes
 
 REPORT_SCHEMA = "wsdmil-report/1"
 
+# cells in the largest heatmap grid, 4096 x 4096: a 16 MB PGM
+HEATMAP_MAX_CELLS = 1 << 24
+
 
 def manifest_fingerprint(path) -> str:
     """sha256 of the manifest bytes, identifying the exact dataset."""
@@ -265,7 +268,7 @@ def heatmap_grid(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Rasterize each patch's weight at its (x, y) coordinate onto a uint8 grid.
 
     Weights must already be in [0, 1]; cells without tissue stay 0.
-    Coordinates must be unique per bag.
+    Coordinates must be unique per bag and span at most HEATMAP_MAX_CELLS.
     """
     if not len(weights):
         raise ValueError("no attention weights to rasterize")
@@ -273,9 +276,12 @@ def heatmap_grid(coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise ValueError("attention weights must lie in [0, 1]")
     if len(np.unique(coords, axis=0)) != len(coords):
         raise ValueError("duplicate patch coordinates in bag")
-    origin = coords.min(axis=0)
-    extent = coords.max(axis=0) - origin + 1
-    grid = np.zeros((int(extent[0]), int(extent[1])), dtype=np.uint8)
+    origin = coords.min(axis=0).astype(np.int64)   # int32 coords span up to 2**32
+    rows, cols = (int(e) for e in coords.max(axis=0) - origin + 1)
+    if rows * cols > HEATMAP_MAX_CELLS:
+        raise ValueError(f"patch coordinates span {rows}x{cols} cells, more than "
+                         f"the {HEATMAP_MAX_CELLS} of a heatmap")
+    grid = np.zeros((rows, cols), dtype=np.uint8)
     shifted = coords - origin
     grid[shifted[:, 0], shifted[:, 1]] = np.floor(weights * 255.0 + 0.5).astype(np.uint8)
     return grid

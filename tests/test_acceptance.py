@@ -235,7 +235,8 @@ def test_criterion_06_permutation_test_matches_enumeration(verdict):
 
 
 def test_criterion_07_bootstrap_width_and_coverage(verdict):
-    flat = bootstrap_ci([1, 2, 3, 4], lambda recs: 0.5, n_resamples=200, seed=0)
+    flat = bootstrap_ci([1, 2, 3, 4], lambda chunk: np.full(len(chunk), 0.5),
+                        n_resamples=200, seed=0)
     zero_width = flat.low == flat.point == flat.high
 
     truth = 0.75
@@ -243,7 +244,7 @@ def test_criterion_07_bootstrap_width_and_coverage(verdict):
     rng = np.random.default_rng(12)
     for trial in range(200):
         draws = (rng.random(100) < truth).astype(float).tolist()
-        ci = bootstrap_ci(draws, lambda recs: float(np.mean(recs)),
+        ci = bootstrap_ci(draws, lambda chunk: chunk.mean(axis=1),
                           n_resamples=200, level=0.95, seed=trial)
         covered += ci.low <= truth <= ci.high
     coverage = covered / 200.0

@@ -70,15 +70,21 @@ def test_read_bag_features_are_a_read_only_float32_view(tmp_path):
         features[0, 0] = 1.0
 
 
-def test_bag_keeps_float32_and_widens_every_other_dtype():
+def test_bag_holds_float32_features_whatever_the_input_dtype():
     coords = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.int32)
     narrow = np.ones((3, 2), dtype=np.float32)
-    wide = np.ones((3, 2))
     assert Bag("a", narrow, coords).features is narrow
-    assert Bag("b", wide, coords).features is wide
-    for other in (np.ones((3, 2), dtype=np.float16), np.ones((3, 2), dtype=">f4"),
-                  [[1, 2], [3, 4], [5, 6]]):
-        assert Bag("c", other, coords).features.dtype == np.float64
+    for other in (np.ones((3, 2)), np.ones((3, 2), dtype=np.float16),
+                  np.ones((3, 2), dtype=">f4"), [[1, 2], [3, 4], [5, 6]]):
+        assert Bag("c", other, coords).features.dtype == np.float32
+
+
+def test_bag_rejects_float64_beyond_float32_range_without_a_cast_warning():
+    # 1e300 rounds to float32 inf, the value its bag file would hold
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite features"):
+            Bag("s", np.array([[1e300, 1.0]]), np.zeros((1, 2), dtype=np.int32))
 
 
 def test_bag_rejects_duplicate_coordinates_naming_the_first():

@@ -747,6 +747,26 @@ def test_eval_report_disagreeing_with_its_archives_is_data_error(
     assert captured.err.startswith(f"data error: {report}: {where}")
 
 
+def test_eval_names_the_archive_a_report_disagrees_with(multitask_run, dataset,
+                                                        tmp_path, capsys):
+    # seed 2's archive is swapped for the archive of a hidden_dim 6 run
+    other = tmp_path / "other" / "mt.report"
+    assert main(["train", "--data", str(dataset), "--model", "abmil",
+                 "--hidden-dim", "6", "--attention-dim", "4", "--method",
+                 "multitask", "--seeds", "2", "--epochs", "2",
+                 "--bootstrap", "20", "--out", str(other)]) == 0
+    for seed, run in ((1, multitask_run), (2, other)):
+        archive = f"mt_params_seed{seed}.npz"
+        (tmp_path / archive).write_bytes((run.parent / archive).read_bytes())
+    report = tmp_path / "mt.report"
+    report.write_text(multitask_run.read_text())
+    capsys.readouterr()
+    assert main(["eval", str(report), "--bootstrap", "20"]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {report}: [config] hidden_dim '8' should be '6' "
+        f"(archive {tmp_path / 'mt_params_seed2.npz'})\n")
+
+
 def test_eval_reproduces_report_at_other_bootstrap_settings(baseline_run, capsys):
     # the CI offsets depend on these flags, so eval does not compare them
     assert main(["eval", str(baseline_run), "--bootstrap", "30",
@@ -978,6 +998,23 @@ def test_attn_map_rejects_bag_of_other_dim_naming_both_files(baseline_run, tmp_p
     assert capsys.readouterr().err == (f"data error: {archive} has model input dim "
                                        f"8, but bag {path} has feature dim 6\n")
     assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("coords", [[[0, 0], [2**31 - 1, 2**31 - 1]],
+                                    [[-2**31, 0], [2**31 - 1, 0]]],
+                         ids=["2**31-square", "2**32-row"])
+def test_attn_map_rejects_an_oversized_grid_naming_the_bag(baseline_run, tmp_path,
+                                                           capsys, coords):
+    path = tmp_path / "wide.bag"
+    write_bag(Bag(slide_id="wide", features=np.zeros((2, 8)), coords=coords), path)
+    capsys.readouterr()
+    assert main(["attn-map", "--params",
+                 str(baseline_run.parent / "base_params_seed1.npz"),
+                 "--bag", str(path), "--out-prefix", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: bag {path}: patch coordinates span ")
+    assert err.endswith(f"cells, more than the {2**24} of a heatmap\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.bag"]
 
 
 def test_attn_map_missing_bag_is_data_error(baseline_run, tmp_path):

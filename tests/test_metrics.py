@@ -214,12 +214,13 @@ def test_permutation_validation():
 # ---- bootstrap --------------------------------------------------------------------
 
 
-def mean_metric(records):
-    return float(np.mean(records))
+def mean_metric(chunk):
+    return chunk.mean(axis=1)
 
 
 def test_bootstrap_constant_metric_has_zero_width():
-    res = bootstrap_ci([1, 2, 3], lambda recs: 0.42, n_resamples=200, seed=0)
+    res = bootstrap_ci([1, 2, 3], lambda chunk: np.full(len(chunk), 0.42),
+                       n_resamples=200, seed=0)
     assert res.point == res.low == res.high == 0.42
     assert res.offsets() == (0.0, 0.0)
 
@@ -230,7 +231,6 @@ def test_bootstrap_brackets_the_point_estimate():
     res = bootstrap_ci(records, mean_metric, n_resamples=500, seed=3)
     assert res.low <= res.point <= res.high
     assert res.low < res.high
-    assert res.n_skipped == 0
 
 
 def test_bootstrap_wider_level_nests_narrower():
@@ -248,29 +248,28 @@ def test_bootstrap_is_deterministic():
     assert (a.low, a.high) == (b.low, b.high)
 
 
-def test_bootstrap_counts_and_warns_on_undefined_resamples():
+def test_bootstrap_propagates_a_metric_undefined_on_some_resamples():
     records = list(range(10))
 
-    def fussy(sample):
-        if 0 not in sample:
+    def fussy(chunk):
+        # defined on the records themselves, not on a resample that lacks 0
+        if not (chunk == 0).any(axis=-1).all():
             raise ValueError("missing sentinel")
-        return float(np.mean(sample))
+        return chunk.mean(axis=-1)
 
-    with pytest.warns(UserWarning, match="skipped"):
-        res = bootstrap_ci(records, fussy, n_resamples=400, seed=2)
-    assert res.n_skipped > 0
-    assert np.isfinite(res.low) and np.isfinite(res.high)
+    with pytest.raises(ValueError, match="missing sentinel"):
+        bootstrap_ci(records, fussy, n_resamples=400, seed=2)
 
 
 def test_bootstrap_fails_when_metric_never_defined_on_resamples():
-    records = list(range(30))
+    records = np.arange(30)
 
-    def needs_all_distinct(sample):
-        if len(set(sample)) != len(records):
+    def needs_all_distinct(chunk):
+        if any(len(np.unique(sample)) != len(records) for sample in chunk):
             raise ValueError("tie")
-        return 1.0
+        return np.ones(len(chunk))
 
-    with pytest.raises(ValueError, match="every bootstrap resample"):
+    with pytest.raises(ValueError, match="tie"):
         bootstrap_ci(records, needs_all_distinct, n_resamples=50, seed=0)
 
 
@@ -289,9 +288,9 @@ def test_bootstrap_draws_the_same_resamples_as_one_draw_per_resample(n):
     n_resamples = 2 * max(1, BOOTSTRAP_CHUNK // n) + 3
     seen = []
 
-    def record(sample):
-        seen.append(sample.copy())
-        return 0.0
+    def record(chunk):
+        seen.extend(chunk.copy())
+        return np.zeros(len(chunk))
 
     bootstrap_ci(np.arange(n), record, n_resamples=n_resamples, seed=4)
     rng = np.random.default_rng(4)
@@ -306,27 +305,21 @@ def test_stacked_bootstrap_chunks_hold_the_per_resample_draws(n):
     # two full chunks and a partial third, of (n, 2) records
     n_resamples = 2 * max(1, BOOTSTRAP_CHUNK // n) + 3
     records = np.arange(2 * n).reshape(n, 2)
-    per_resample, chunks = [], []
-
-    def record(sample):
-        per_resample.append(sample.copy())
-        return float(sample.sum())
+    chunks = []
 
     def record_stack(chunk):
         chunks.append(chunk.copy())
         return chunk.sum(axis=(1, 2)).astype(np.float64)
 
-    plain = bootstrap_ci(records, record, n_resamples=n_resamples, seed=4)
-    stacked = bootstrap_ci(records, record_stack, n_resamples=n_resamples, seed=4,
-                           stacked=True)
+    bootstrap_ci(records, record_stack, n_resamples=n_resamples, seed=4)
     rows = max(1, BOOTSTRAP_CHUNK // n)
     # the point's one-resample stack, then one call per chunk
     assert [len(c) for c in chunks] == [1] + [
         min(rows, n_resamples - done) for done in range(0, n_resamples, rows)]
-    drawn = np.concatenate(chunks)
-    assert drawn.tobytes() == np.stack(per_resample).tobytes()
-    assert (stacked.point, stacked.low, stacked.high) == (plain.point, plain.low,
-                                                          plain.high)
+    rng = np.random.default_rng(4)
+    drawn = [records] + [records[rng.integers(0, n, size=n)]
+                         for _ in range(n_resamples)]
+    assert np.concatenate(chunks).tobytes() == np.stack(drawn).tobytes()
 
 
 def test_stacked_bootstrap_of_k_metrics_equals_k_single_runs():
@@ -339,8 +332,8 @@ def test_stacked_bootstrap_of_k_metrics_equals_k_single_runs():
         return (chunk.max(axis=(1, 2)) - chunk.min(axis=(1, 2))).astype(np.float64)
 
     both = bootstrap_ci(records, lambda c: np.stack([total(c), spread(c)], axis=1),
-                        n_resamples=300, seed=2, stacked=True)
-    single = [bootstrap_ci(records, fn, n_resamples=300, seed=2, stacked=True)
+                        n_resamples=300, seed=2)
+    single = [bootstrap_ci(records, fn, n_resamples=300, seed=2)
               for fn in (total, spread)]
     assert both == single
 
@@ -350,7 +343,7 @@ def test_stacked_bootstrap_propagates_an_undefined_metric():
         raise ValueError("no samples")
 
     with pytest.raises(ValueError, match="no samples"):
-        bootstrap_ci([1.0, 2.0], undefined, n_resamples=10, stacked=True)
+        bootstrap_ci([1.0, 2.0], undefined, n_resamples=10)
 
 
 def test_bootstrap_result_offsets_are_signed():

@@ -307,6 +307,10 @@ def test_heatmap_grid_validation():
         heatmap_grid(np.array([[0, 0]]), np.array([1.5]))
     with pytest.raises(ValueError, match="duplicate"):
         heatmap_grid(np.array([[0, 0], [0, 0]]), np.array([0.5, 0.6]))
+    assert heatmap_grid(np.array([[0, 0], [4095, 4095]]),
+                        np.array([0.5, 0.6])).shape == (4096, 4096)
+    with pytest.raises(ValueError, match="span 4096x4097 cells"):
+        heatmap_grid(np.array([[0, 0], [4095, 4096]]), np.array([0.5, 0.6]))
 
 
 def test_pgm_layout(tmp_path):

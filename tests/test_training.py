@@ -11,8 +11,8 @@ import pytest
 
 from wsdmil import training
 from wsdmil.autodiff import Tensor, grad_check
-from wsdmil.bags import (Bag, SynthConfig, generate_synthetic, read_manifest,
-                         split_bags, write_bag)
+from wsdmil.bags import (Bag, SynthConfig, generate_synthetic, read_bag,
+                         read_manifest, split_bags, write_bag)
 from wsdmil.gleason import WeightTriple, consensus_record, parse_score, wsd_weight
 from wsdmil.metrics import balanced_accuracy, confusion, weighted_f1
 from wsdmil.models import HEAD_KINDS, BagOutput, ModelConfig, forward_bag, init_model
@@ -401,10 +401,18 @@ def test_beta_zero_multitask_trajectory_matches_baseline_bitwise(dataset):
 
 
 @pytest.mark.parametrize("head", HEAD_KINDS)
-def test_float32_bags_train_to_the_same_bits_as_float64_copies(dataset, head):
-    def widened(samples):
-        return [replace(s, bag=Bag(s.bag.slide_id, s.bag.features.astype(np.float64),
+def test_float32_bags_train_to_the_same_bits_as_float64_copies(dataset, head,
+                                                               tmp_path):
+    # a bag built from float64 features trains to the bits of its own file
+    def from_float64(samples):
+        return [replace(s, bag=Bag(s.bag.slide_id, s.bag.features.astype(np.float64) / 3,
                                    s.bag.coords)) for s in samples]
+
+    def written_and_read(samples):
+        for s in samples:
+            write_bag(s.bag, tmp_path / f"{s.bag.slide_id}.bag")
+        return [replace(s, bag=read_bag(tmp_path / f"{s.bag.slide_id}.bag"))
+                for s in samples]
 
     def digest(train_samples, val_samples):
         r = train(tiny_model(dataset["dim"], head=head, reg=True),
@@ -414,9 +422,9 @@ def test_float32_bags_train_to_the_same_bits_as_float64_copies(dataset, head):
                 [(h.train_loss, h.val_balanced_accuracy) for h in r.history],
                 r.best_epoch)
 
-    assert dataset["train"][0].bag.features.dtype == np.float32
-    assert digest(dataset["train"], dataset["val"]) == \
-        digest(widened(dataset["train"]), widened(dataset["val"]))
+    train64, val64 = from_float64(dataset["train"]), from_float64(dataset["val"])
+    assert digest(train64, val64) == \
+        digest(written_and_read(train64), written_and_read(val64))
 
 
 def test_baseline_learns_separable_toy(tmp_path):
@@ -604,10 +612,9 @@ def _mixed_samples(tmp_path, dtype):
 @pytest.mark.parametrize("head", HEAD_KINDS)
 def test_stacked_predictions_equal_per_bag_forwards(tmp_path, monkeypatch,
                                                     head, reg, dtype):
-    # a stack holds three 5-instance bags' features, so the five resident
-    # 5-instance bags run as 3 + 2
-    monkeypatch.setattr(training, "RESIDENT_BAG_BYTES",
-                        3 * np.dtype(dtype).itemsize * 5 * 6)
+    # a stack holds three 5-instance bags' float32 features, whatever dtype
+    # the bags are built from, so the five resident 5-instance bags run as 3 + 2
+    monkeypatch.setattr(training, "RESIDENT_BAG_BYTES", 3 * 4 * 5 * 6)
     mc = ModelConfig(head, 6, hidden_dim=7, attention_dim=3,
                      with_regression_head=reg, init_seed=4)
     params = init_model(mc)
@@ -639,7 +646,8 @@ def test_stacked_predictions_equal_per_bag_forwards(tmp_path, monkeypatch,
 
 
 def test_float64_stacks_hold_at_most_the_resident_bag_budget(monkeypatch):
-    # twenty resident 32 KiB float64 bags: eight fill a 256 KiB stack
+    # twenty resident bags built from float64 hold 16 KiB of float32 each:
+    # sixteen fill a 256 KiB stack
     rng = np.random.default_rng(3)
     samples = [training.Sample(Bag(f"s{i:02d}", rng.standard_normal((64, 64)),
                                    np.stack([np.arange(64)] * 2, axis=1)), 0)
@@ -654,7 +662,7 @@ def test_float64_stacks_hold_at_most_the_resident_bag_budget(monkeypatch):
     mc = tiny_model(64)
     predict_classes(init_model(mc), mc, samples)
     assert training.RESIDENT_BAG_BYTES == 256 * 2**10
-    assert stack_bytes == [8 * 32 * 2**10, 8 * 32 * 2**10, 4 * 32 * 2**10]
+    assert stack_bytes == [16 * 16 * 2**10, 4 * 16 * 2**10]
 
 
 def test_streamed_prediction_forwards_each_bag_before_the_next_read(tmp_path,
