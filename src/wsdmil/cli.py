@@ -107,17 +107,17 @@ def _data_manifest(args, recorded=None) -> Path:
     return Path(root) / "manifest.tsv"
 
 
-def _check(path, rows, archive=None) -> None:
+def _check(path, rows, source=None) -> None:
     """Reject a file whose stored values are not the actual ones: each row is
     (section, key, stored, actual), and a stored None is a missing key.  A
-    disagreement names the ``archive`` the actual values come from, if any."""
+    disagreement names the ``source`` the actual values come from, if any."""
     for section, key, stored, actual in rows:
         if stored is None:
             raise ValueError(f"{path}: [{section}] has no {key!r}")
         if stored != actual:
-            source = f" (archive {archive})" if archive else ""
+            where = f" ({source})" if source else ""
             raise ValueError(f"{path}: [{section}] {key} {stored!r} should be "
-                             f"{actual!r}{source}")
+                             f"{actual!r}{where}")
 
 
 def _check_file_path(flag: str, path: str) -> None:
@@ -158,12 +158,12 @@ def _load_samples(manifest_path: Path, *splits: str):
     them all."""
     entries = read_manifest(manifest_path)
     per_split = [split_bags(entries, split) for split in splits]
+    empty = [split for split, es in zip(splits, per_split) if not es]
+    if empty:
+        raise ValueError(f"no {'/'.join(empty)} slides in {manifest_path}")
     loaded = iter(samples_from_entries([e for es in per_split for e in es]))
     samples = {split: list(itertools.islice(loaded, len(es)))
                for split, es in zip(splits, per_split)}
-    empty = [split for split in splits if not samples[split]]
-    if empty:
-        raise ValueError(f"no {'/'.join(empty)} slides in {manifest_path}")
     first, *rest = (s.bag for split in splits for s in samples[split])
     for bag in rest:
         if bag.d != first.d:
@@ -413,9 +413,12 @@ def _check_report(path: Path, report, models) -> None:
     head, dims, method (multitask exactly with a regression head), seeds (the
     [seed N] sections in order, each its archive's init seed), epochs (each
     [history N] holds 0..epochs-1) and best_epoch (the first best validation
-    epoch).  A missing key or a disagreement is _check's ValueError."""
+    epoch).  A missing key or a disagreement is _check's ValueError, naming
+    the archive or [history N] the actual value comes from."""
     config = dict.fromkeys(("model", "hidden_dim", "attention_dim", "input_dim",
                             "method", "seeds", "epochs")) | report.config
+    _check(path, [("config", "seeds", config["seeds"],
+                   ",".join(str(s.seed) for s in report.seeds))])
     for s, (archive, (_, mc)) in zip(report.seeds, models):
         method = config["method"]
         if (method == "multitask") != mc.with_regression_head:
@@ -426,15 +429,13 @@ def _check_report(path: Path, report, models) -> None:
         _check(path, dims + [
                 ("config", "model", config["model"], mc.head_kind),
                 ("config", "method", config["method"], method),
-                (f"seed {s.seed}", "seed", s.seed, mc.init_seed)], archive)
+                (f"seed {s.seed}", "seed", s.seed, mc.init_seed)], f"archive {archive}")
+        _check(path, [(f"history {s.seed}", "epochs", [e for e, _, _ in s.history],
+                       list(range(len(scores))))])
         _check(path, [
-                ("config", "seeds", config["seeds"],
-                 ",".join(str(t.seed) for t in report.seeds)),
-                (f"history {s.seed}", "epochs", [e for e, _, _ in s.history],
-                 list(range(len(scores)))),
                 ("config", "epochs", config["epochs"], str(len(scores))),
                 (f"seed {s.seed}", "best_epoch", s.best_epoch,
-                 scores.index(max(scores)) if scores else None)])
+                 scores.index(max(scores)) if scores else None)], f"[history {s.seed}]")
 
 
 def cmd_eval(args) -> int:

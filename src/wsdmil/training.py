@@ -70,8 +70,8 @@ class TrainConfig:
 # Feature bytes one call of samples_from_entries keeps in memory, and the
 # largest bag it keeps: reading and validating a bag again costs 50-86% of an
 # abmil forward on a 62 x 32 bag, but 5-8% of a DSMIL forward on a d=1024 bag
-# (66 us at 272 KiB, 985 us at 4.7 MiB).  Every other bag is read again where
-# it is used.  predict_classes stacks at most RESIDENT_BAG_BYTES of features.
+# (66 us at 272 KiB, 985 us at 4.7 MiB), so every other bag is read at use.
+# predict_classes stacks equal-size bags, resident or not, to RESIDENT_BAG_BYTES.
 RESIDENT_BYTES = 16 * 2**20
 RESIDENT_BAG_BYTES = 256 * 2**10
 
@@ -92,8 +92,8 @@ class Sample:
     """One slide ready for training or evaluation.
 
     ``bag`` is the slide's ``Bag`` while it is resident, or a ``BagOnDisk``
-    that holds no features.  Either way it gives the slide id and the
-    feature dim; ``load`` gives the features.
+    that holds no features.  Either way it gives the slide id and shape;
+    ``load`` gives the features, and only it tells the two apart.
     """
 
     bag: Bag | BagOnDisk
@@ -278,21 +278,19 @@ def predict_classes(params: dict[str, Tensor | np.ndarray],
 
     The forward passes run on plain arrays (a Tensor's own, no copy), so
     they build no graph and leave every parameter's ``.grad`` as it was.
-    Resident samples with the same instance count run in stacks of at most
-    ``RESIDENT_BAG_BYTES`` of features, and a stack gives each bag the
-    logits of its own forward to the bit.  A streamed sample's bag is read
-    and run alone, for its forward pass only, before the next is read.
+    Samples with the same instance count, resident or streamed, run in
+    stacks of at most ``RESIDENT_BAG_BYTES`` of float32 features (a larger
+    bag runs alone), and a stack gives each bag the logits of its own
+    forward to the bit.  A streamed bag is read when its stack runs.
     """
     arrays = {k: value(p) for k, p in params.items()}
     classes = np.empty(len(samples), dtype=np.int64)
-    # sample indices by instance count; a streamed bag has a key of its own
-    stacks: dict[int, list[int]] = {}
+    stacks: dict[int, list[int]] = {}   # sample indices by instance count
     for i, s in enumerate(samples):
-        stacks.setdefault(s.bag.n if isinstance(s.bag, Bag) else -1 - i, []).append(i)
+        stacks.setdefault(s.bag.n, []).append(i)
     for members in stacks.values():
-        bag = samples[members[0]].bag   # a streamed bag is a stack of one
-        size = (max(1, RESIDENT_BAG_BYTES // bag.features.nbytes)
-                if isinstance(bag, Bag) else 1)
+        bag = samples[members[0]].bag
+        size = max(1, RESIDENT_BAG_BYTES // (4 * bag.n * bag.d))
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
             output = forward_bag(arrays, model_config,

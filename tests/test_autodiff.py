@@ -35,6 +35,10 @@ def _sum(x: Tensor) -> Tensor:
     return matmul(matmul(np.ones((1, r)), x), np.ones((c, 1)))
 
 
+def test_repr_names_the_tensor_and_its_shape():
+    assert repr(Tensor(np.zeros((1, 2)), name="w")) == "Tensor(w, shape=(1, 2))"
+
+
 def test_matmul_of_ones():
     a = Tensor(np.ones((2, 3)))
     b = Tensor(np.ones((3, 1)))

@@ -5,6 +5,9 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -608,6 +611,16 @@ def test_parser_exits_are_returned_not_raised(baseline_run, dataset, capsys):
     assert capsys.readouterr().out.startswith("usage: wsdmil")
 
 
+def test_module_entry_point_runs_main():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "wsdmil.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: wsdmil")
+
+
 def test_eval_env_data_root_stands_in_for_data_on_an_archive_only(
         baseline_run, tmp_path, monkeypatch, capsys):
     other = tmp_path / "other"
@@ -636,6 +649,23 @@ def test_eval_split_with_no_slides_is_data_error(baseline_run, tmp_path, capsys)
                  "--data", str(data), "--split", "val"]) == 3
     assert capsys.readouterr().err == (f"data error: no val slides in "
                                        f"{data / 'manifest.tsv'}\n")
+
+
+def test_train_with_no_val_slides_fails_before_reading_a_bag(tmp_path, capsys,
+                                                            monkeypatch):
+    data = tmp_path / "noval"
+    assert main(["gen-synthetic", "--out", str(data), "--splits", "10,0,10",
+                 "--dim", "8", "--size-factor", "0.02"]) == 0
+    reads = []
+    real_read = training.read_bag
+    monkeypatch.setattr(training, "read_bag",
+                        lambda *args: reads.append(args) or real_read(*args))
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out",
+                 str(tmp_path / "r.report")] + FAST_TRAIN) == 3
+    assert capsys.readouterr().err == (f"data error: no val slides in "
+                                       f"{data / 'manifest.tsv'}\n")
+    assert reads == []
 
 
 def test_eval_detects_manifest_drift(baseline_run, dataset, tmp_path, capsys):
@@ -765,6 +795,23 @@ def test_eval_names_the_archive_a_report_disagrees_with(multitask_run, dataset,
     assert capsys.readouterr().err == (
         f"data error: {report}: [config] hidden_dim '8' should be '6' "
         f"(archive {tmp_path / 'mt_params_seed2.npz'})\n")
+
+
+def test_eval_names_the_history_a_report_epochs_disagrees_with(multitask_run,
+                                                              tmp_path, capsys):
+    # seed 2's history gains a third epoch row in a 2-epoch report
+    for seed in (1, 2):
+        archive = f"mt_params_seed{seed}.npz"
+        (tmp_path / archive).write_bytes((multitask_run.parent / archive).read_bytes())
+    report = tmp_path / "mt.report"
+    edited, count = re.subn(r"(\[history 2\]\n(?:.*\n){2})", r"\g<1>2 1.35 0.2\n",
+                            multitask_run.read_text(), count=1)
+    assert count == 1
+    report.write_text(edited)
+    capsys.readouterr()
+    assert main(["eval", str(report), "--bootstrap", "20"]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {report}: [config] epochs '2' should be '3' ([history 2])\n")
 
 
 def test_eval_reproduces_report_at_other_bootstrap_settings(baseline_run, capsys):

@@ -613,7 +613,8 @@ def _mixed_samples(tmp_path, dtype):
 def test_stacked_predictions_equal_per_bag_forwards(tmp_path, monkeypatch,
                                                     head, reg, dtype):
     # a stack holds three 5-instance bags' float32 features, whatever dtype
-    # the bags are built from, so the five resident 5-instance bags run as 3 + 2
+    # the bags are built from, so the seven 5-instance bags, resident or
+    # streamed, run as 3 + 3 + 1
     monkeypatch.setattr(training, "RESIDENT_BAG_BYTES", 3 * 4 * 5 * 6)
     mc = ModelConfig(head, 6, hidden_dim=7, attention_dim=3,
                      with_regression_head=reg, init_seed=4)
@@ -628,10 +629,10 @@ def test_stacked_predictions_equal_per_bag_forwards(tmp_path, monkeypatch,
 
     monkeypatch.setattr(training, "forward_bag", recording_forward)
     classes = predict_classes(params, mc, samples)
-    # stacks in order of each size's first bag; a streamed bag runs alone
+    # stacks in order of each size's first bag, streamed bags among the others
     assert [ids for ids, _ in stacks] == [
-        ["s00", "s04", "s05"], ["s07", "s08"], ["s01", "s06"], ["s02"],
-        ["s03", "s10"], ["s09"], ["s11"]]
+        ["s00", "s02", "s04"], ["s05", "s07", "s08"], ["s09"],
+        ["s01", "s06", "s11"], ["s03", "s10"]]
     rows = {sid: (out, j) for ids, out in stacks for j, sid in enumerate(ids)}
     arrays = {k: p.data for k, p in params.items()}
     expected = []
@@ -673,26 +674,33 @@ def test_streamed_prediction_forwards_each_bag_before_the_next_read(tmp_path,
     entries = read_manifest(generate_synthetic(cfg, tmp_path).manifest_path)
     samples = samples_from_entries(split_bags(entries, "val"))
     assert len({s.bag.n for s in samples}) < len(samples)   # sizes repeat
-    events, read = [], []
+    events, stack, earlier = [], [], []
     real_read = training.read_bag
 
     def logged_read(*args, **kwargs):
-        assert all(ref() is None for ref in read)   # no earlier bag is held
+        assert all(ref() is None for ref in earlier)   # no earlier stack is held
         bag = real_read(*args, **kwargs)
-        read.append(weakref.ref(bag.features))
+        stack.append(weakref.ref(bag.features))
         events.append(("read", bag.slide_id))
         return bag
 
     def logged_forward(params, config, bags):
         events.append(("forward", [b.slide_id for b in bags]))
+        earlier.extend(stack)
+        stack.clear()
         return forward_bag(params, config, bags)
 
     monkeypatch.setattr(training, "read_bag", logged_read)
     monkeypatch.setattr(training, "forward_bag", logged_forward)
     mc = tiny_model(4, head="dsmil")
     predict_classes(init_model(mc), mc, samples)
-    assert events == [event for s in samples for event in
-                      (("read", s.bag.slide_id), ("forward", [s.bag.slide_id]))]
+    stacks = [ids for kind, ids in events if kind == "forward"]
+    assert max(map(len, stacks)) > 1
+    # each stack's bags are read, once each, right before its forward
+    assert events == [event for ids in stacks for event in
+                      [("read", sid) for sid in ids] + [("forward", ids)]]
+    assert sorted(sid for ids in stacks for sid in ids) == sorted(
+        s.bag.slide_id for s in samples)
 
 
 @pytest.mark.parametrize("head", HEAD_KINDS)
