@@ -322,6 +322,11 @@ class SynthConfig:
             raise ValueError(f"feature_dim must be >= 2, got {self.feature_dim}")
         if self.noise_sigma < 0 or self.size_factor <= 0:
             raise ValueError("noise_sigma must be >= 0 and size_factor > 0")
+        # a bag header holds n and d as u32; the float product cannot overflow
+        if max(BAG_INSTANCES_MAX * self.size_factor, self.feature_dim) >= 2**32:
+            raise ValueError(f"size_factor {self.size_factor} or feature_dim "
+                             f"{self.feature_dim} is too large: a bag holds at "
+                             f"most {2**32 - 1} instances of {2**32 - 1} features")
 
     @property
     def n_total(self) -> int:

@@ -108,13 +108,12 @@ class Sample:
             return ref
         try:
             bag = read_bag(ref.path, ref.slide_id)
+            if (bag.n, bag.d) != (ref.n, ref.d):
+                raise ValueError(f"it holds {bag.n} x {bag.d} features, its "
+                                 f"load saw {ref.n} x {ref.d}")
         except (OSError, ValueError) as exc:
             raise ValueError(f"bag file {ref.path} changed on disk during "
                              f"the run: {exc}") from exc
-        if (bag.n, bag.d) != (ref.n, ref.d):
-            raise ValueError(f"bag file {ref.path} changed on disk during the "
-                             f"run: it holds {bag.n} x {bag.d} features, its "
-                             f"load saw {ref.n} x {ref.d}")
         return bag
 
 
@@ -150,11 +149,8 @@ def loss_baseline(output: BagOutput, label: int) -> Tensor:
 
 def loss_multitask(output: BagOutput, label: int, wsd_target: float,
                    alpha: float, beta: float) -> Tensor:
-    """alpha * CE + beta * squared error of the difficulty prediction."""
-    if output.wsd_prediction is None:
-        raise ValueError("multi-task loss needs a model with a regression head")
-    if not 0.0 <= wsd_target <= 1.0:
-        raise ValueError(f"difficulty target {wsd_target} outside [0, 1]")
+    """alpha * CE + beta * squared error of the difficulty prediction against
+    a WSD score; ``train`` checks that the model has the regression head."""
     ce = cross_entropy(output.class_logits, label)
     reg = squared_error(output.wsd_prediction, wsd_target)
     return add(scale(ce, alpha), scale(reg, beta))
@@ -166,11 +162,9 @@ def loss_weighted(output: BagOutput, label: int, weight: float) -> Tensor:
 
 
 def bag_loss(output: BagOutput, sample: Sample, config: TrainConfig) -> Tensor:
+    """One bag's loss; a WSD method reads the record ``train`` checks for."""
     if config.method == "baseline":
         return loss_baseline(output, sample.label)
-    if sample.record is None:
-        raise ValueError(f"slide {sample.bag.slide_id}: {config.method} training "
-                         f"needs a consensus record")
     if config.method == "multitask":
         return loss_multitask(output, sample.label, sample.record.wsd,
                               config.alpha, config.beta)
@@ -303,9 +297,10 @@ def train(model_config: ModelConfig, config: TrainConfig,
           train_samples: list[Sample], val_samples: list[Sample]) -> TrainResult:
     """Run the full loop and return the best-validation-epoch parameters.
 
-    Each epoch visits every training slide once in an epoch-seeded order,
-    taking one Adam step per bag. Ties on validation balanced accuracy keep
-    the earlier epoch.
+    First it checks the method's needs: multitask a regression head, and
+    multitask and weighted a consensus record on each training sample.  Each
+    epoch visits every training slide once in an epoch-seeded order, one Adam
+    step per bag; ties on validation balanced accuracy keep the earlier epoch.
     """
     if not train_samples or not val_samples:
         raise ValueError("train and validation splits must both be non-empty")
@@ -368,7 +363,7 @@ def grid_search(model_config: ModelConfig, configs: list[TrainConfig],
                 train_samples: list[Sample], val_samples: list[Sample],
                 seeds: tuple[int, ...] = DEFAULT_SEEDS
                 ) -> tuple[list[tuple[float, float]], int]:
-    """Train every config per seed and score it on validation.
+    """Train every config per seed on ``model_config`` as given, and score it.
 
     Returns each config's seed-mean validation (balanced accuracy, weighted
     F1), and the index of the config with the highest balanced accuracy;
@@ -380,11 +375,9 @@ def grid_search(model_config: ModelConfig, configs: list[TrainConfig],
     for tc in configs:
         per_seed = []
         for seed in seeds:
-            mc = replace(model_config, init_seed=seed,
-                         with_regression_head=(model_config.with_regression_head
-                                               or tc.method == "multitask"))
             try:
-                result = train(mc, replace(tc, seed=seed),
+                result = train(replace(model_config, init_seed=seed),
+                               replace(tc, seed=seed),
                                train_samples, val_samples)
             except NumericError as exc:
                 raise NumericError(f"grid point {tc}: {exc}") from exc

@@ -172,6 +172,12 @@ def test_gen_synthetic_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: at least one slide required",
         "error: split sizes must be non-negative"]
+    # a bag header holds n and d as u32; each size is rejected before any draw
+    for flag, size in (("--size-factor", "1e308"), ("--size-factor", "4e6"),
+                       ("--dim", "4294967296")):
+        assert main(["gen-synthetic", "--out", str(tmp_path / "x"),
+                     "--splits", "1,0,0", flag, size]) == 2
+        assert "is too large: a bag holds at most" in capsys.readouterr().err
     # argparse rejects an unknown flag
     assert main(["gen-synthetic", "--out", str(tmp_path / "x"), "--slides",
                  "12"]) == 2

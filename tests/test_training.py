@@ -89,21 +89,6 @@ def test_weighted_scales_cross_entropy():
     assert abs(loss.data[0, 0] - 3.0 * math.log(4.0)) < 1e-12
 
 
-def test_multitask_requires_regression_output():
-    with pytest.raises(ValueError, match="regression head"):
-        loss_multitask(output_with([0.0] * 4), 0, 0.5, 1.0, 1.0)
-    with pytest.raises(ValueError, match="outside"):
-        loss_multitask(output_with([0.0] * 4, wsd=0.5), 0, 1.5, 1.0, 1.0)
-
-
-def test_bag_loss_requires_record_for_wsd_methods(dataset):
-    from wsdmil.training import Sample
-    bare = Sample(bag=dataset["val"][0].bag, label=1, record=None)
-    cfg = TrainConfig(method="weighted", weights=HEAVY)
-    with pytest.raises(ValueError, match="consensus record"):
-        bag_loss(output_with([0.0] * 4), bare, cfg)
-
-
 # ---- exact reduction identities ---------------------------------------------------
 
 
@@ -797,11 +782,12 @@ def test_grid_search_tie_prefers_earlier_row(dataset):
     assert best == 0
 
 
-def test_grid_search_adds_regression_head_for_multitask(dataset):
+def test_grid_search_uses_the_model_config_as_given(dataset):
+    # a multitask point on a model without a regression head meets train's check
     configs = [TrainConfig(method="multitask", beta=1.0, epochs=2, seed=0)]
-    _, best = grid_search(tiny_model(dataset["dim"]), configs,
-                          dataset["train"], dataset["val"], seeds=(1,))
-    assert best == 0
+    with pytest.raises(ValueError, match="regression"):
+        grid_search(tiny_model(dataset["dim"]), configs,
+                    dataset["train"], dataset["val"], seeds=(1,))
 
 
 def test_grid_search_rejects_empty_grid(dataset):
