@@ -110,9 +110,9 @@ def _scatter(shape: tuple[int, int], cells, values: np.ndarray) -> np.ndarray:
 
     Adding this share to a grad is bit identical to adding ``values``
     straight into it whenever no cell is hit twice: always for ``max_rows``,
-    and for ``take_rows`` with distinct indices, as in every head (DSMIL
-    takes one row per call).  Repeated indices sum their rows first, which
-    can round differently in the last bit.
+    and for ``take_rows`` with distinct indices.  Repeated indices, as when
+    two of DSMIL's classes share a critical instance, sum their rows first,
+    which can round differently in the last bit.
     """
     share = np.zeros(shape)
     np.add.at(share, cells, values)
@@ -237,19 +237,6 @@ def mean_rows(x):
         return Tensor(mean_rows(a),
                       ((x, lambda g: np.broadcast_to(g / a.shape[0], a.shape)),))
     return x.mean(axis=-2, keepdims=True)
-
-
-def concat_rows(operands: Sequence):
-    """Stack operands vertically; all must share a column count."""
-    if any(isinstance(t, Tensor) for t in operands):
-        arrays = [value(t) for t in operands]
-        bounds = np.cumsum([0] + [a.shape[0] for a in arrays])
-        return _node(concat_rows(arrays),
-                     *((t, lambda g, lo=lo, hi=hi: g[lo:hi])
-                       for t, lo, hi in zip(operands, bounds[:-1], bounds[1:])))
-    if len({a.shape[-1] for a in operands}) != 1:
-        raise ShapeError("concat_rows", *(a.shape for a in operands))
-    return np.concatenate(operands, axis=-2)
 
 
 def take_rows(x, indices: Sequence[int]):

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, concat_rows, linear, matmul, max_rows,
-                       mean_rows, mul, relu, scale, sigmoid, softmax_rows,
-                       take_rows, tanh, transpose, value)
+from .autodiff import (Tensor, add, linear, matmul, max_rows, mean_rows, mul,
+                       relu, scale, sigmoid, softmax_rows, take_rows, tanh,
+                       transpose, value)
 from .bags import Bag
 
 HEAD_KINDS = ("maxmil", "abmil", "gated_abmil", "dsmil")
@@ -172,37 +172,32 @@ def forward_abmil(params: dict, x: np.ndarray, gated: bool = False) -> BagOutput
 
 
 def forward_dsmil(params: dict, x: np.ndarray) -> BagOutput:
-    """Dual-stream head.
+    """Dual-stream head (Li, Li & Eliceiri 2021).
 
     Stream 1 scores instances with a linear classifier and max-pools.
-    Stream 2 finds each class's critical (top-scoring) instance, attends
-    all instances against its query, and classifies the attention-pooled
-    value vectors per class.  Final logits average the two streams.
+    Stream 2 takes each class's critical (top-scoring) instance and attends
+    all instances against its query by scaled dot product, so class c's row
+    is softmax(q_i . q_crit(c) / sqrt(L)) over the instances i.  Its bag row
+    is the attention-pooled value vector, computed as (attn_c . x) W_v + b_v:
+    each row of attn sums to one, so this equals attn_c . (x W_v + b_v)
+    without the (n, H) value matrix.  Final logits average the two streams.
     """
     inst_logits = _linear(params, "inst", x)                      # (n, 4)
     queries = _linear(params, "query", x)                         # (n, L)
-    values = _linear(params, "value", x)                          # (n, H)
-
-    crit = np.argmax(value(inst_logits), axis=-2)                 # per class
-    attn_rows = []
-    bag_rows = []
-    for c in range(N_CLASSES):
-        q_crit = take_rows(queries, crit[..., c:c + 1])           # (1, L)
-        scores = transpose(matmul(queries, transpose(q_crit)))    # (1, n)
-        attn_c = softmax_rows(scores)
-        attn_rows.append(attn_c)
-        bag_rows.append(matmul(attn_c, values))                   # (1, H)
-    bag_embed = concat_rows(bag_rows)                             # (4, H)
+    crit = np.argmax(value(inst_logits), axis=-2)                 # (4,)
+    q_crit = take_rows(queries, crit)                             # (4, L)
+    scores = matmul(q_crit, transpose(queries))                   # (4, n)
+    attn = softmax_rows(scale(scores, queries.shape[-1] ** -0.5))
+    bag_embed = _linear(params, "value", matmul(attn, x))         # (4, H)
     ones = np.ones((params["value.w"].shape[1], 1))
     bag_logits = add(transpose(matmul(mul(bag_embed, params["bag_cls.w"]), ones)),
                      params["bag_cls.b"])                         # (1, 4)
     logits = scale(add(max_rows(inst_logits), bag_logits), 0.5)
 
     predicted = np.argmax(value(logits), axis=-1)                 # (1,)
-    attn = np.concatenate([value(a) for a in attn_rows], axis=-2)  # (4, n)
     pooled = mean_rows(bag_embed)                                 # (1, H)
     return BagOutput(class_logits=logits,
-                     attention=take_rows(attn, predicted)[..., 0, :],
+                     attention=take_rows(value(attn), predicted)[..., 0, :],
                      wsd_prediction=_regress(params, pooled))
 
 

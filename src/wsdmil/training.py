@@ -69,8 +69,8 @@ class TrainConfig:
 
 # Feature bytes one call of samples_from_entries keeps in memory, and the
 # largest bag it keeps: reading and validating a bag again costs 50-86% of an
-# abmil forward on a 62 x 32 bag, but 5-8% of a DSMIL forward on a d=1024 bag
-# (66 us at 272 KiB, 985 us at 4.7 MiB), so every other bag is read at use.
+# abmil forward on a 62 x 32 bag, but 4-12% of a DSMIL forward on a d=1024 bag
+# (38 us at 272 KiB, 0.7 ms at 4.7 MiB), so every other bag is read at use.
 # predict_classes stacks equal-size bags, resident or not, to RESIDENT_BAG_BYTES.
 RESIDENT_BYTES = 16 * 2**20
 RESIDENT_BAG_BYTES = 256 * 2**10

@@ -9,7 +9,6 @@ from wsdmil.autodiff import (
     ShapeError,
     Tensor,
     add,
-    concat_rows,
     cross_entropy,
     grad_check,
     linear,
@@ -129,8 +128,6 @@ def test_shape_errors_name_the_primitive():
     for data in (np.float64(1.0), np.ones(2), np.ones((2, 2, 2))):
         with pytest.raises(ShapeError, match="tensor"):
             Tensor(data)
-    with pytest.raises(ShapeError, match="concat_rows"):
-        concat_rows([Tensor(np.ones((1, 2))), Tensor(np.ones((1, 3)))])
     with pytest.raises(ShapeError, match="take_rows"):
         take_rows(Tensor(np.ones((2, 2))), [0, 5])
     with pytest.raises(ShapeError, match="mul"):
@@ -161,7 +158,6 @@ def _primitive_cases():
     margins.data[np.argmax(margins.data, axis=0), np.arange(3)] += 0.5
     logits = mk((1, 5))
     pred = mk((1, 1))
-    c1, c2, c3 = mk((2, 3)), mk((1, 3)), mk((3, 3))
     gather = mk((4, 3))
 
     return [
@@ -177,8 +173,6 @@ def _primitive_cases():
         ("max_rows", [margins], lambda: _contract(max_rows(margins), 12)),
         ("mean_rows", [a], lambda: _contract(mean_rows(a), 13)),
         ("transpose", [a], lambda: _contract(transpose(a), 14)),
-        ("concat_rows", [c1, c2, c3],
-         lambda: _contract(concat_rows([c1, c2, c3]), 15)),
         ("take_rows", [gather],
          lambda: _contract(take_rows(gather, [2, 0, 2, 3]), 16)),
         ("cross_entropy", [logits], lambda: cross_entropy(logits, 3)),
@@ -230,8 +224,7 @@ def test_gradients_accumulate_across_backward_calls():
     assert_allclose(x.grad, [[2.0, 2.0]])
 
 
-@pytest.mark.parametrize("op", [lambda x: x + x, lambda x: concat_rows([x, x])],
-                         ids=["add", "concat_rows"])
+@pytest.mark.parametrize("op", [lambda x: x + x], ids=["add"])
 def test_operand_used_twice_receives_both_shares(op):
     x = Tensor([[1.0, -2.0, 0.5]])
     _sum(op(x)).backward()
@@ -276,8 +269,6 @@ _OPS = [
     ("max_rows", max_rows, [(5, 3)]),
     ("mean_rows", mean_rows, [(3, 4)]),
     ("transpose", transpose, [(3, 4)]),
-    ("concat_rows", lambda a, b, c: concat_rows([a, b, c]),
-     [(2, 3), (1, 3), (3, 3)]),
     ("take_rows", lambda a: take_rows(a, [2, 0, 2, 3]), [(4, 3)]),
     ("cross_entropy", lambda a: cross_entropy(a, 3), [(1, 5)]),
     ("squared_error", lambda a: squared_error(a, 0.3), [(1, 1)]),
@@ -316,7 +307,6 @@ _MIXED = [
     ("add", add, [(3, 4), (3, 4)]),
     ("mul", mul, [(3, 4), (3, 4)]),
     ("linear", linear, [(3, 4), (4, 2), (1, 2)]),
-    ("concat_rows", lambda *xs: concat_rows(xs), [(2, 3), (1, 3)]),
 ]
 
 

@@ -1093,8 +1093,8 @@ PINNED_VIEW_FILES = {
     "abmil.pgm": "35316d8b2dcbfaefe5f8ac6208fb5720137ee88d83762dcd21eb65825361af3e",
     "gated_abmil.txt": "ccde3e2d0cc49664903fdc9c7d7eb286483fbdac8b1eb89bae77abb60c2432e5",
     "gated_abmil.pgm": "c91ad3084232b3e5c52a0e35eb8290a8b75602a2e9366eddb64deeeb1eabd4ef",
-    "dsmil.txt": "84472697f8052da968cfe7547c00e4e45253e4e81a2563e6b1da22f83c2241b9",
-    "dsmil.pgm": "fbafcaf3dd386c6d17007d6a20d72d396d7ca8e47d37992722d84acf3669294a",
+    "dsmil.txt": "fa69e238989c50d1bcd07903c9cc86b082a38bfdcc940171fcfd2ac40bf538cb",
+    "dsmil.pgm": "5bc4805a1a918c3114c9b5ab7bc3f4f3bd8fbbfbeeb987a8365f77c73817fc82",
     "multitask.grid": "be84d8687dee38b07457653db95dd15b7c7580be77d10d5321c769d547535e93",
     "weighted.grid": "79399da2c63a7caf31b6f45282274e3da655ba01d36ea463683342ac4f485748",
 }

@@ -47,11 +47,11 @@ GOLDEN = {
     ('gated_abmil', 'weighted'):
         "f3f9ecae60dff42eb2e1881bbc08b0b13d1c9a244fa739bea7e478bf3b18d1f9",
     ('dsmil', 'baseline'):
-        "b574a2031f11c915e291975b139cd4869892292485020039edab407ae8b3e9f5",
+        "c1a48e261d9d8bebacb11ab2a095c263314e852e5a810197578bf57125982994",
     ('dsmil', 'multitask'):
-        "7dda79813b58d838c7548f0b8a9ca61944c4f210e7cbf50c14c77fa177956248",
+        "28896d7d86e307cd673729552f02abe63e6b2b3364941282cca098285573e4e6",
     ('dsmil', 'weighted'):
-        "47616d4ad54cfe935eef1e3204f8d1239a5f6402db5b9a28df14567ce6aa2636",
+        "390dcc6a196ce0a7c40bd94adb7647784874945da3e856703ef7e8b473512f71",
 }
 
 

@@ -187,7 +187,7 @@ def dsmil_oracle(p, x):
     crit = inst.argmax(axis=0)
     bag_logits = np.zeros(4)
     for c in range(4):
-        attn = softmax(queries @ queries[crit[c]])
+        attn = softmax(queries @ queries[crit[c]] / np.sqrt(L))
         bag_logits[c] = (attn @ values) @ p["bag_cls.w"][c] + p["bag_cls.b"][0, c]
     return 0.5 * (inst.max(axis=0) + bag_logits)
 
@@ -207,6 +207,27 @@ def test_dsmil_duplicated_bag_matches_singleton():
     repeated = forward_dsmil(params, np.repeat(x, 5, axis=0))
     np.testing.assert_allclose(repeated.class_logits.data, single.class_logits.data,
                                atol=1e-9)
+
+
+@pytest.mark.parametrize("plain,stacked", [(False, False), (True, False), (True, True)],
+                         ids=["tensor", "plain", "plain-stack"])
+def test_dsmil_pools_instances_before_the_value_projection(monkeypatch, plain, stacked):
+    # the bag rows are (attn . x) W_v + b_v, so no (n, H) value matrix is built
+    n = 7
+    assert len({n, D, H, L}) == 4
+    cfg = config("dsmil", with_regression_head=True)
+    params = numpy_params("dsmil", with_regression_head=True) if plain else init_model(cfg)
+    bag = [random_bag(n, seed=1), random_bag(n, seed=2)] if stacked else random_bag(n, seed=1)
+    shapes = []
+    for name in ("linear", "matmul"):
+        def recorded(*operands, op=getattr(models, name)):
+            out = op(*operands)
+            shapes.append(models.value(out).shape)
+            return out
+        monkeypatch.setattr(models, name, recorded)
+    forward_bag(params, cfg, bag)
+    assert (n, H) not in [s[-2:] for s in shapes]
+    assert (4, H) in [s[-2:] for s in shapes]
 
 
 # ---- shared output contract -------------------------------------------------------

@@ -530,7 +530,7 @@ NODES_PER_STEP = {
     ("maxmil", "baseline"): 6, ("maxmil", "multitask"): 12,
     ("abmil", "baseline"): 10, ("abmil", "multitask"): 16,
     ("gated_abmil", "baseline"): 13, ("gated_abmil", "multitask"): 19,
-    ("dsmil", "baseline"): 37, ("dsmil", "multitask"): 43,
+    ("dsmil", "baseline"): 18, ("dsmil", "multitask"): 24,
 }
 
 
