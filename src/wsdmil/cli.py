@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bags import (generate_synthetic, open_atomic, read_bag, read_manifest,
-                   split_bags, CALIBRATION_TARGETS, SynthConfig)
+                   split_bags, CALIBRATION_TARGETS, SPLITS, SynthConfig)
 from .gleason import (ConsensusLevel, WeightTriple, class_of, consensus_level)
 from .metrics import (PERMUTATION_STATISTICS, balanced_accuracy, bootstrap_ci,
                       confusion, paired_permutation_test, per_class_accuracy,
@@ -586,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[data, stats],
                        help="evaluate a report or parameter archive")
     p.add_argument("target", help="run report (.txt) or parameter archive (.npz)")
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--compare", help="second report/archive for a paired "
                    "permutation test")
     p.add_argument("--statistic", choices=PERMUTATION_STATISTICS,

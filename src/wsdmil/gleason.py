@@ -153,20 +153,3 @@ def wsd_weight(level: ConsensusLevel, weights: WeightTriple) -> float:
         return weights.heterogeneous
     return weights.homogeneous
 
-
-@dataclass(frozen=True)
-class ConsensusRecord:
-    """One slide's rater pair with its derived consensus level and difficulty."""
-
-    slide_id: str
-    expert: GleasonScore
-    nonexpert: GleasonScore
-    level: ConsensusLevel
-    wsd: float
-
-
-def consensus_record(slide_id: str, expert: GleasonScore,
-                     nonexpert: GleasonScore) -> ConsensusRecord:
-    """Bundle the consensus level and difficulty for one slide."""
-    level = consensus_level(expert, nonexpert)
-    return ConsensusRecord(slide_id, expert, nonexpert, level, wsd_score(level))

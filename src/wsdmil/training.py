@@ -19,7 +19,8 @@ import numpy as np
 
 from .autodiff import Tensor, add, cross_entropy, scale, squared_error, value
 from .bags import Bag, ManifestEntry, read_bag
-from .gleason import ConsensusRecord, WeightTriple, consensus_record, wsd_weight
+from .gleason import (ConsensusLevel, WeightTriple, consensus_level, wsd_score,
+                      wsd_weight)
 from .metrics import balanced_accuracy, confusion, weighted_f1
 from .models import BagOutput, ModelConfig, forward_bag, init_model
 
@@ -93,12 +94,13 @@ class Sample:
 
     ``bag`` is the slide's ``Bag`` while it is resident, or a ``BagOnDisk``
     that holds no features.  Either way it gives the slide id and shape;
-    ``load`` gives the features, and only it tells the two apart.
+    ``load`` gives the features, and only it tells the two apart.  ``level``
+    is the slide's consensus level, or None without a non-expert score.
     """
 
     bag: Bag | BagOnDisk
     label: int
-    record: ConsensusRecord | None = None
+    level: ConsensusLevel | None = None
 
     def load(self) -> Bag:
         """The resident bag, or a fresh read of a streamed one, which must
@@ -117,8 +119,15 @@ class Sample:
         return bag
 
 
+def consensus_record(entry: ManifestEntry) -> ConsensusLevel | None:
+    """A manifest row's consensus level; None without a non-expert score."""
+    if entry.nonexpert is None:
+        return None
+    return consensus_level(entry.expert, entry.nonexpert)
+
+
 def samples_from_entries(entries: list[ManifestEntry]) -> list[Sample]:
-    """Load and validate every bag, and attach labels and consensus records.
+    """Load and validate every bag, and attach labels and consensus levels.
 
     In entry order, a bag of at most ``RESIDENT_BAG_BYTES`` stays resident
     while the features kept total at most ``RESIDENT_BYTES``; every other
@@ -127,15 +136,12 @@ def samples_from_entries(entries: list[ManifestEntry]) -> list[Sample]:
     samples = []
     resident = 0
     for e in entries:
-        record = None
-        if e.nonexpert is not None:
-            record = consensus_record(e.slide_id, e.expert, e.nonexpert)
         bag = read_bag(e.bag_path, e.slide_id)
         if bag.features.nbytes <= min(RESIDENT_BAG_BYTES, RESIDENT_BYTES - resident):
             resident += bag.features.nbytes
         else:
             bag = BagOnDisk(e.bag_path, bag.slide_id, bag.n, bag.d)
-        samples.append(Sample(bag, e.label(), record))
+        samples.append(Sample(bag, e.label(), consensus_record(e)))
     return samples
 
 
@@ -162,14 +168,14 @@ def loss_weighted(output: BagOutput, label: int, weight: float) -> Tensor:
 
 
 def bag_loss(output: BagOutput, sample: Sample, config: TrainConfig) -> Tensor:
-    """One bag's loss; a WSD method reads the record ``train`` checks for."""
+    """One bag's loss; a WSD method looks up the level ``train`` checks for."""
     if config.method == "baseline":
         return loss_baseline(output, sample.label)
     if config.method == "multitask":
-        return loss_multitask(output, sample.label, sample.record.wsd,
+        return loss_multitask(output, sample.label, wsd_score(sample.level),
                               config.alpha, config.beta)
     return loss_weighted(output, sample.label,
-                         wsd_weight(sample.record.level, config.weights))
+                         wsd_weight(sample.level, config.weights))
 
 
 # ---- optimizer --------------------------------------------------------------------
@@ -298,7 +304,7 @@ def train(model_config: ModelConfig, config: TrainConfig,
     """Run the full loop and return the best-validation-epoch parameters.
 
     First it checks the method's needs: multitask a regression head, and
-    multitask and weighted a consensus record on each training sample.  Each
+    multitask and weighted a consensus level on each training sample.  Each
     epoch visits every training slide once in an epoch-seeded order, one Adam
     step per bag; ties on validation balanced accuracy keep the earlier epoch.
     """
@@ -307,7 +313,7 @@ def train(model_config: ModelConfig, config: TrainConfig,
     if config.method == "multitask" and not model_config.with_regression_head:
         raise ValueError("multitask training needs with_regression_head=True")
     if config.method != "baseline":
-        missing = [s.bag.slide_id for s in train_samples if s.record is None]
+        missing = [s.bag.slide_id for s in train_samples if s.level is None]
         if missing:
             raise ValueError(f"{config.method} training needs consensus records; "
                              f"missing for {', '.join(missing[:5])}")

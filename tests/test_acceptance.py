@@ -18,8 +18,7 @@ from wsdmil.bags import (Bag, BagFormatError, SynthConfig, generate_synthetic,
                          CALIBRATION_TARGETS)
 from wsdmil.cli import main
 from wsdmil.gleason import (ConsensusLevel, GleasonScore, WeightTriple,
-                            consensus_level, consensus_record, parse_score,
-                            wsd_score, wsd_weight)
+                            consensus_level, parse_score, wsd_score, wsd_weight)
 from wsdmil.metrics import (balanced_accuracy, bootstrap_ci, confusion,
                             paired_permutation_test, weighted_f1)
 from wsdmil.models import (HEAD_KINDS, ModelConfig, forward_bag, init_model)
@@ -92,8 +91,8 @@ def test_criterion_01_consensus_matches_brute_force_oracle(verdict):
 
 
 def test_criterion_02_gradients_match_central_differences(verdict):
-    weight = wsd_weight(consensus_record("accept", parse_score("4+3"),
-                                         parse_score("3+4")).level, HEAVY)
+    weight = wsd_weight(consensus_level(parse_score("4+3"), parse_score("3+4")),
+                        HEAVY)
     start = time.perf_counter()
     worst = 0.0
     for head in HEAD_KINDS:

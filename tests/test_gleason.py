@@ -8,7 +8,6 @@ from wsdmil.gleason import (
     WeightTriple,
     class_of,
     consensus_level,
-    consensus_record,
     parse_score,
     worst_grade,
     wsd_score,
@@ -189,16 +188,15 @@ def test_wsd_weight_selects_component():
     assert wsd_weight(ConsensusLevel.HOMOGENEOUS, t) == 1.0
 
 
-def test_consensus_record_bundles_consistent_fields():
-    rec = consensus_record("s1", parse_score("4+4"), parse_score("3+4"))
-    assert rec.level is ConsensusLevel.HETEROGENEOUS
-    assert rec.wsd == 0.5
-    assert wsd_weight(rec.level, WeightTriple(4.0, 3.0, 1.0)) == 3.0
-    assert rec.slide_id == "s1"
+def test_consensus_level_gives_consistent_wsd_and_weight():
+    level = consensus_level(parse_score("4+4"), parse_score("3+4"))
+    assert level is ConsensusLevel.HETEROGENEOUS
+    assert wsd_score(level) == 0.5
+    assert wsd_weight(level, WeightTriple(4.0, 3.0, 1.0)) == 3.0
 
 
-def test_consensus_record_without_triple_defaults_to_unit_weight():
-    rec = consensus_record("s2", parse_score("3+3"), parse_score("4+3"))
-    assert rec.level is ConsensusLevel.NO_CONSENSUS
+def test_consensus_level_with_unit_triple_weighs_one():
+    level = consensus_level(parse_score("3+3"), parse_score("4+3"))
+    assert level is ConsensusLevel.NO_CONSENSUS
     unit = WeightTriple(1.0, 1.0, 1.0, allow_out_of_range=True)
-    assert wsd_weight(rec.level, unit) == 1.0
+    assert wsd_weight(level, unit) == 1.0

@@ -11,9 +11,10 @@ import pytest
 
 from wsdmil import training
 from wsdmil.autodiff import Tensor, grad_check
-from wsdmil.bags import (Bag, SynthConfig, generate_synthetic, read_bag,
-                         read_manifest, split_bags, write_bag)
-from wsdmil.gleason import WeightTriple, consensus_record, parse_score, wsd_weight
+from wsdmil.bags import (Bag, ManifestEntry, SynthConfig, generate_synthetic,
+                         read_bag, read_manifest, split_bags, write_bag)
+from wsdmil.gleason import (ConsensusLevel, WeightTriple, consensus_level,
+                            parse_score, wsd_score, wsd_weight)
 from wsdmil.metrics import balanced_accuracy, confusion, weighted_f1
 from wsdmil.models import HEAD_KINDS, BagOutput, ModelConfig, forward_bag, init_model
 from wsdmil.training import (
@@ -45,8 +46,8 @@ def output_with(logits, wsd=None):
                      else Tensor(np.array([[wsd]], dtype=np.float64)))
 
 
-def hetero_record():
-    return consensus_record("s0", parse_score("4+4"), parse_score("3+4"))
+def hetero_level():
+    return consensus_level(parse_score("4+4"), parse_score("3+4"))
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +84,9 @@ def test_multitask_combines_terms_to_known_value():
 
 
 def test_weighted_scales_cross_entropy():
-    rec = hetero_record()
-    assert wsd_weight(rec.level, HEAVY) == 3.0
-    loss = loss_weighted(output_with([0.0] * 4), 1, wsd_weight(rec.level, HEAVY))
+    level = hetero_level()
+    assert wsd_weight(level, HEAVY) == 3.0
+    loss = loss_weighted(output_with([0.0] * 4), 1, wsd_weight(level, HEAVY))
     assert abs(loss.data[0, 0] - 3.0 * math.log(4.0)) < 1e-12
 
 
@@ -94,8 +95,8 @@ def test_weighted_scales_cross_entropy():
 
 def test_unit_weight_equals_baseline_bitwise():
     logits = [0.3, -1.2, 0.8, 0.05]
-    rec = hetero_record()
-    weighted = loss_weighted(output_with(logits), 2, wsd_weight(rec.level, UNIT))
+    level = hetero_level()
+    weighted = loss_weighted(output_with(logits), 2, wsd_weight(level, UNIT))
     baseline = loss_baseline(output_with(logits), 2)
     assert weighted.data[0, 0] == baseline.data[0, 0]
 
@@ -330,13 +331,23 @@ def test_train_config_validation():
 
 def test_samples_carry_labels_and_records(dataset):
     for sample in dataset["train"]:
-        assert sample.record is not None
-        assert wsd_weight(sample.record.level, HEAVY) in (1.0, 3.0, 4.0)
+        assert sample.level is not None
+        assert wsd_weight(sample.level, HEAVY) in (1.0, 3.0, 4.0)
         assert sample.label in (0, 1, 2, 3)
         assert sample.bag.d == dataset["dim"]
     for sample in dataset["val"]:
-        assert sample.record is not None
-        assert sample.record.wsd in (0.0, 0.5, 1.0)
+        assert sample.level is not None
+        assert wsd_score(sample.level) in (0.0, 0.5, 1.0)
+
+
+def test_sample_level_is_none_without_a_nonexpert_score(tmp_path):
+    path = tmp_path / "s0.bag"
+    write_bag(Bag("s0", np.zeros((2, 3), dtype=np.float32),
+                  np.array([[0, 0], [0, 1]])), path)
+    rows = [ManifestEntry(f"s{i}", path, parse_score("4+4"), nonexpert, "test")
+            for i, nonexpert in enumerate((None, parse_score("3+4")))]
+    assert ([s.level for s in samples_from_entries(rows)]
+            == [None, ConsensusLevel.HETEROGENEOUS])
 
 
 # ---- training loop ----------------------------------------------------------------
@@ -449,7 +460,7 @@ def test_train_validates_inputs(dataset):
               TrainConfig(method="multitask", epochs=1),
               dataset["train"], dataset["val"])
     from wsdmil.training import Sample
-    bare = [Sample(bag=s.bag, label=s.label, record=None)
+    bare = [Sample(bag=s.bag, label=s.label, level=None)
             for s in dataset["train"]]
     with pytest.raises(ValueError, match="consensus record"):
         train(tiny_model(dataset["dim"]),
@@ -791,7 +802,7 @@ def test_grid_search_uses_the_model_config_as_given(dataset):
 
 
 def test_grid_search_rejects_empty_grid(dataset):
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="^grid is empty$"):
         grid_search(tiny_model(dataset["dim"]), [],
                     dataset["train"], dataset["val"])
 
